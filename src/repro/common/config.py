@@ -206,9 +206,6 @@ class OptimizerConfig:
     #: Allow equality conjuncts to prune data files through secondary
     #: indexes (beyond zone maps).
     index_pruning: bool = True
-    #: Rows per block for the block-nested-loop operator (cost model and
-    #: executor agree on this).
-    block_nl_rows: int = 256
     #: Feedback correction factors are clamped to [1/cap, cap].
     feedback_factor_cap: float = 1000.0
 
@@ -328,7 +325,5 @@ class PolarisConfig:
             raise ValueError("optimizer.misestimate_threshold must be >= 1")
         if self.optimizer.auto_analyze_rows < 0:
             raise ValueError("optimizer.auto_analyze_rows must be >= 0")
-        if self.optimizer.block_nl_rows < 1:
-            raise ValueError("optimizer.block_nl_rows must be >= 1")
         if self.optimizer.feedback_factor_cap < 1.0:
             raise ValueError("optimizer.feedback_factor_cap must be >= 1")

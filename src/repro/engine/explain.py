@@ -4,11 +4,16 @@
 scans' pushed-down projections, predicates and pruning conjuncts — the
 compiled-plan view the SQL FE would show for a statement.
 
-``explain_analyze(plan, scan_source)`` *executes* the plan and annotates
-every operator with rows produced and simulated time; scans additionally
-report file- and row-group-level pruning counts when the scan source
-provides them (the FE read path does).  The result carries the output
-batch, the annotated text, and the per-operator stats.
+Nothing here executes a plan.  The FE read path runs every statement
+through the one interpreter (:func:`repro.engine.executor.execute_plan`)
+and, when asked, fills a :class:`PlanProfile` sink with what it saw:
+the executed plan, the scans' pruning reports, the estimates and the
+per-node output rows.  Two pure functions read that sink:
+:func:`operator_stats` turns the row counts into per-operator
+:class:`OperatorStats`, and :func:`render_analyze` renders the EXPLAIN
+ANALYZE text (every operator annotated with rows produced, simulated
+time and, for scans, file- and row-group-level pruning counts).  The
+query store reads the same sink through :func:`operator_summaries`.
 """
 
 from __future__ import annotations
@@ -18,9 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.common.errors import PlanError
-from repro.engine import operators
-from repro.engine.batch import Batch, num_rows
-
+from repro.engine.batch import Batch
 from repro.engine.expressions import (
     BinOp,
     BoolOp,
@@ -99,39 +102,42 @@ class OperatorStats:
 
 
 @dataclass
-class AnalyzeResult:
-    """Outcome of :func:`explain_analyze`: output plus annotations."""
+class PlanProfile:
+    """One execution's profile sink.
 
-    batch: Batch
-    text: str
-    #: Per-operator stats keyed by ``id(plan_node)``.
-    stats: Dict[int, OperatorStats]
-    #: Planner-estimated output rows keyed by ``id(plan_node)`` (empty
-    #: when the caller supplied no estimates).
+    :func:`repro.fe.read_path.execute_query` fills it when given one;
+    EXPLAIN ANALYZE (:func:`render_analyze`) and the query store
+    (:func:`operator_summaries`) both read it, so the two views always
+    describe the same execution.  All maps are keyed by ``id(plan_node)``
+    of nodes in :attr:`plan`.
+    """
+
+    #: The physical plan actually executed (after cost-based optimizer
+    #: rewrites).
+    plan: Optional[Plan] = None
+    #: The statement's output batch.
+    batch: Optional[Batch] = None
+    #: Scan pruning reports (files, row groups, cells, rows, est_rows and
+    #: the scan's measured ``sim_time_s``).
+    scan_details: Dict[int, Dict[str, Any]] = field(default_factory=dict)
+    #: Planner-estimated output rows.
     estimates: Dict[int, int] = field(default_factory=dict)
+    #: Estimate provenance (``stats`` / ``default``) when the cost-based
+    #: optimizer supplied it.
+    provenance: Dict[int, str] = field(default_factory=dict)
+    #: Optimizer cost units, when the cost-based optimizer supplied them.
+    costs: Dict[int, float] = field(default_factory=dict)
+    #: Per-operator stats (:func:`operator_stats`).
+    stats: Dict[int, OperatorStats] = field(default_factory=dict)
 
     def stats_for(self, node: Plan) -> OperatorStats:
         """The stats recorded for one plan node."""
         return self.stats[id(node)]
 
-
-@dataclass
-class PlanProfile:
-    """Lightweight per-run profile: stats without the rendered text.
-
-    What the query store captures on *every* execution — the same
-    measurements as :class:`AnalyzeResult` minus the annotated plan
-    rendering, which is the expensive, human-facing half.
-    """
-
-    batch: Batch
-    #: Per-operator stats keyed by ``id(plan_node)``.
-    stats: Dict[int, OperatorStats]
-    #: Planner-estimated output rows keyed by ``id(plan_node)``.
-    estimates: Dict[int, int] = field(default_factory=dict)
-    #: The physical plan actually executed (after cost-based optimizer
-    #: rewrites); None when the caller's plan ran unmodified.
-    plan: Optional[Plan] = None
+    @property
+    def text(self) -> str:
+        """The EXPLAIN ANALYZE rendering of this execution."""
+        return render_analyze(self)
 
 
 def misestimate_ratio(est_rows: float, actual_rows: float) -> float:
@@ -323,170 +329,75 @@ def operator_summaries(
 
 def _preorder(plan: Plan) -> Iterator[Plan]:
     yield plan
+    for child in _children(plan):
+        yield from _preorder(child)
+
+
+def _children(plan: Plan) -> Tuple[Plan, ...]:
     if isinstance(plan, TableScan):
-        return
+        return ()
     if isinstance(plan, Join):
-        yield from _preorder(plan.left)
-        yield from _preorder(plan.right)
-        return
+        return (plan.left, plan.right)
     if isinstance(plan, (Filter, Project, Aggregate, Sort, Limit)):
-        yield from _preorder(plan.child)
-        return
+        return (plan.child,)
     raise PlanError(f"unknown plan node {plan!r}")
 
 
-def explain_analyze(
+def operator_stats(
     plan: Plan,
-    scan_source: Callable[[TableScan], Batch],
-    *,
-    clock=None,
-    cost_model=None,
-    scan_details: Optional[Dict[int, Dict[str, Any]]] = None,
-    estimates: Optional[Dict[int, int]] = None,
-    provenance: Optional[Dict[int, str]] = None,
-    costs: Optional[Dict[int, float]] = None,
-) -> AnalyzeResult:
-    """Execute ``plan`` and annotate each operator with observed stats.
-
-    ``scan_source`` resolves scans exactly as in
-    :func:`repro.engine.executor.execute_plan`.  Scan timing comes from
-    ``scan_details[id(scan)]["sim_time_s"]`` when the caller pre-measured
-    it (the FE read path), else from ``clock`` deltas around the scan
-    call.  Root-side operators are costed with ``cost_model`` over their
-    input rows — the same first-order model the FE charges the clock with.
-    ``estimates`` (from :func:`estimate_cardinalities`) adds an
-    ``est=``/``ratio=`` column per operator so cardinality misestimates
-    are visible interactively.  ``provenance`` (node id → ``stats`` /
-    ``default``) and ``costs`` (node id → optimizer cost units) add
-    ``stats=`` and ``cost=`` columns when the cost-based optimizer
-    supplied them.
-    """
-    stats: Dict[int, OperatorStats] = {}
-    batch = _run_analyzed(
-        plan, scan_source, stats, clock, cost_model, scan_details or {}
-    )
-    estimates = estimates or {}
-    provenance = provenance or {}
-    costs = costs or {}
-    lines: List[str] = []
-    _walk(
-        plan,
-        0,
-        lines,
-        annotate=lambda node: _annotation(
-            stats.get(id(node)),
-            estimates.get(id(node)),
-            provenance.get(id(node)),
-            costs.get(id(node)),
-        ),
-    )
-    return AnalyzeResult(
-        batch=batch, text="\n".join(lines), stats=stats, estimates=estimates
-    )
-
-
-def run_with_stats(
-    plan: Plan,
-    scan_source: Callable[[TableScan], Batch],
-    *,
-    clock=None,
-    cost_model=None,
-    scan_details: Optional[Dict[int, Dict[str, Any]]] = None,
-) -> Tuple[Batch, Dict[int, OperatorStats]]:
-    """Execute ``plan`` collecting per-operator stats, skipping the text.
-
-    The measurement half of :func:`explain_analyze` — what the query
-    store runs on every statement; rendering the annotated tree is left
-    to the interactive path that wants it.
-    """
-    stats: Dict[int, OperatorStats] = {}
-    batch = _run_analyzed(
-        plan, scan_source, stats, clock, cost_model, scan_details or {}
-    )
-    return batch, stats
-
-
-def _run_analyzed(
-    plan: Plan,
-    scan_source: Callable[[TableScan], Batch],
-    stats: Dict[int, OperatorStats],
-    clock,
-    cost_model,
+    rows: Dict[int, int],
     scan_details: Dict[int, Dict[str, Any]],
-) -> Batch:
-    def recurse(node: Plan) -> Batch:
-        return _run_analyzed(
-            node, scan_source, stats, clock, cost_model, scan_details
+    cost_model,
+) -> Dict[int, OperatorStats]:
+    """Per-operator stats of one execution, keyed by ``id(node)``.
+
+    ``rows`` is the row sink of :func:`repro.engine.executor.execute_plan`.
+    Scans take their simulated time and pruning counts from
+    ``scan_details`` (the FE read path measures them); root-side
+    operators are costed with ``cost_model`` over their input rows — the
+    same first-order model the FE charges the clock with.
+    """
+    stats: Dict[int, OperatorStats] = {}
+    for node in _preorder(plan):
+        if isinstance(node, TableScan):
+            details = dict(scan_details.get(id(node), {}))
+            elapsed = details.pop("sim_time_s", None)
+        else:
+            details = {}
+            input_rows = sum(rows[id(child)] for child in _children(node))
+            elapsed = cost_model.task_duration(input_rows, 0, 0)
+        stats[id(node)] = OperatorStats(
+            rows=rows[id(node)], sim_time_s=elapsed, details=details
         )
-
-    if isinstance(plan, TableScan):
-        started = clock.now if clock is not None else None
-        batch = scan_source(plan)
-        missing = [c for c in plan.columns if c not in batch]
-        if missing:
-            raise PlanError(f"scan of {plan.table!r} missing columns {missing}")
-        out = {name: batch[name] for name in plan.columns}
-        details = dict(scan_details.get(id(plan), {}))
-        elapsed = details.pop("sim_time_s", None)
-        if elapsed is None and started is not None:
-            elapsed = clock.now - started
-        stats[id(plan)] = OperatorStats(
-            rows=num_rows(out), sim_time_s=elapsed, details=details
-        )
-        return out
-
-    if isinstance(plan, Filter):
-        children = [recurse(plan.child)]
-        result = operators.filter_batch(children[0], plan.predicate)
-    elif isinstance(plan, Project):
-        children = [recurse(plan.child)]
-        result = operators.project(children[0], plan.outputs)
-    elif isinstance(plan, Join):
-        children = [recurse(plan.left), recurse(plan.right)]
-        result = operators.join(
-            children[0],
-            children[1],
-            plan.left_keys,
-            plan.right_keys,
-            plan.how,
-            plan.algorithm,
-        )
-    elif isinstance(plan, Aggregate):
-        children = [recurse(plan.child)]
-        result = operators.aggregate(children[0], plan.group_keys, plan.aggs)
-    elif isinstance(plan, Sort):
-        children = [recurse(plan.child)]
-        result = operators.sort(children[0], plan.keys)
-    elif isinstance(plan, Limit):
-        children = [recurse(plan.child)]
-        result = operators.limit(children[0], plan.count)
-    else:
-        raise PlanError(f"unknown plan node {plan!r}")
-
-    input_rows = sum(num_rows(child) for child in children)
-    est = (
-        cost_model.task_duration(input_rows, 0, 0)
-        if cost_model is not None
-        else None
-    )
-    stats[id(plan)] = OperatorStats(rows=num_rows(result), sim_time_s=est)
-    return result
+    return stats
 
 
-def _annotation(
-    node_stats: Optional[OperatorStats],
-    est_rows: Optional[int] = None,
-    provenance: Optional[str] = None,
-    cost: Optional[float] = None,
-) -> str:
+def render_analyze(profile: PlanProfile) -> str:
+    """EXPLAIN ANALYZE text: the executed plan with observed stats.
+
+    Every operator shows its rows and simulated time; ``est=``/``ratio=``
+    make cardinality misestimates visible, ``stats=`` and ``cost=`` show
+    the cost-based optimizer's provenance and cost when it supplied them,
+    and scans add their file / row-group pruning counts.
+    """
+    lines: List[str] = []
+    _walk(profile.plan, 0, lines, annotate=lambda node: _annotation(profile, node))
+    return "\n".join(lines)
+
+
+def _annotation(profile: PlanProfile, node: Plan) -> str:
+    node_stats = profile.stats.get(id(node))
     if node_stats is None:
         return ""
     parts = [f"rows={node_stats.rows}"]
+    est_rows = profile.estimates.get(id(node))
     if est_rows is not None:
         parts.append(f"est={est_rows}")
         parts.append(f"ratio={misestimate_ratio(est_rows, node_stats.rows):.2f}x")
+    provenance = profile.provenance.get(id(node))
     if provenance is not None:
         parts.append(f"stats={provenance}")
+    cost = profile.costs.get(id(node))
     if cost is not None:
         parts.append(f"cost={cost:.1f}")
     if node_stats.sim_time_s is not None:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
 from collections import defaultdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -39,32 +38,6 @@ def project(batch: Batch, outputs: Dict[str, Expr]) -> Batch:
     return {name: evaluate(expr, batch) for name, expr in outputs.items()}
 
 
-def _check_join_keys(
-    left_keys: Sequence[str], right_keys: Sequence[str]
-) -> None:
-    if len(left_keys) != len(right_keys):
-        raise PlanError("join key lists must have equal length")
-
-
-def _semi_anti(left: Batch, keep_match: np.ndarray, how: str) -> Batch:
-    """Shared left-semi/left-anti tail: mask left rows by match flags."""
-    if how == "left-anti":
-        keep_match = ~keep_match
-    return batch_mod.mask(left, keep_match)
-
-
-def _gather_join(
-    left: Batch, right: Batch, li: np.ndarray, ri: np.ndarray
-) -> Batch:
-    """Materialize inner-join output from matched row-index pairs."""
-    overlap = set(left) & set(right)
-    if overlap:
-        raise PlanError(f"join output would duplicate columns {sorted(overlap)}")
-    out: Batch = {name: values[li] for name, values in left.items()}
-    out.update({name: values[ri] for name, values in right.items()})
-    return out
-
-
 def hash_join(
     left: Batch,
     right: Batch,
@@ -74,10 +47,13 @@ def hash_join(
 ) -> Batch:
     """Hash join.  ``how`` is ``inner``, ``left-semi`` or ``left-anti``.
 
-    Column-name collisions between the two inputs are a plan bug and raise
-    :class:`PlanError` (for inner joins; semi/anti keep only left columns).
+    Output is left-major: left rows in input order, each followed by its
+    right matches in right-input order.  Column-name collisions between
+    the two inputs are a plan bug and raise :class:`PlanError` (for inner
+    joins; semi/anti keep only left columns).
     """
-    _check_join_keys(left_keys, right_keys)
+    if len(left_keys) != len(right_keys):
+        raise PlanError("join key lists must have equal length")
     index: Dict[Tuple[Any, ...], List[int]] = defaultdict(list)
     right_key_cols = [right[k] for k in right_keys]
     for row in range(batch_mod.num_rows(right)):
@@ -95,10 +71,13 @@ def hash_join(
             dtype=bool,
             count=left_rows,
         )
-        return _semi_anti(left, matched, how)
+        return batch_mod.mask(left, ~matched if how == "left-anti" else matched)
 
     if how != "inner":
         raise PlanError(f"unsupported join type {how!r}")
+    overlap = set(left) & set(right)
+    if overlap:
+        raise PlanError(f"join output would duplicate columns {sorted(overlap)}")
     left_indices: List[int] = []
     right_indices: List[int] = []
     for row in range(left_rows):
@@ -108,172 +87,20 @@ def hash_join(
             right_indices.extend(matches)
     li = np.asarray(left_indices, dtype=np.int64)
     ri = np.asarray(right_indices, dtype=np.int64)
-    return _gather_join(left, right, li, ri)
-
-
-def _match_pairs_sorted(
-    left: Batch,
-    right: Batch,
-    left_keys: Sequence[str],
-    right_keys: Sequence[str],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """All matching (li, ri) pairs in (li, ri) order via a merge scan.
-
-    Both inputs are key-sorted (stable, so equal keys keep row order),
-    then merged.  Emitting pairs left-major with ascending right indices
-    inside each key group makes the output *byte-identical* to
-    :func:`hash_join`, which probes left rows in order against an
-    insertion-ordered build index.
-    """
-    left_rows = batch_mod.num_rows(left)
-    right_rows = batch_mod.num_rows(right)
-    left_tuples = _key_tuples(left, left_keys, left_rows)
-    right_tuples = _key_tuples(right, right_keys, right_rows)
-    lorder = sorted(range(left_rows), key=lambda i: (left_tuples[i], i))
-    rorder = sorted(range(right_rows), key=lambda i: (right_tuples[i], i))
-    pairs: List[Tuple[int, int]] = []
-    ri = 0
-    for li_pos in range(left_rows):
-        li = lorder[li_pos]
-        key = left_tuples[li]
-        while ri < right_rows and right_tuples[rorder[ri]] < key:
-            ri += 1
-        scan = ri
-        while scan < right_rows and right_tuples[rorder[scan]] == key:
-            pairs.append((li, rorder[scan]))
-            scan += 1
-    pairs.sort()
-    if not pairs:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
-    li_arr = np.array([p[0] for p in pairs], dtype=np.int64)
-    ri_arr = np.array([p[1] for p in pairs], dtype=np.int64)
-    return li_arr, ri_arr
-
-
-def _key_tuples(
-    batch: Batch, keys: Sequence[str], rows: int
-) -> List[Tuple[Any, ...]]:
-    cols = [batch[k] for k in keys]
-    return [tuple(col[row] for col in cols) for row in range(rows)]
-
-
-def _pairs_to_output(
-    left: Batch,
-    right: Batch,
-    li: np.ndarray,
-    ri: np.ndarray,
-    how: str,
-) -> Batch:
-    """Turn matched index pairs into the requested join output."""
-    if how in ("left-semi", "left-anti"):
-        matched = np.zeros(batch_mod.num_rows(left), dtype=bool)
-        if len(li):
-            matched[li] = True
-        return _semi_anti(left, matched, how)
-    if how != "inner":
-        raise PlanError(f"unsupported join type {how!r}")
-    return _gather_join(left, right, li, ri)
-
-
-def sort_merge_join(
-    left: Batch,
-    right: Batch,
-    left_keys: Sequence[str],
-    right_keys: Sequence[str],
-    how: str = "inner",
-) -> Batch:
-    """Sort-merge join: sort both inputs on the keys, merge-scan matches.
-
-    Output rows and ordering are byte-identical to :func:`hash_join`;
-    only the cost profile differs (n log n sorts, linear merge).
-    """
-    _check_join_keys(left_keys, right_keys)
-    li, ri = _match_pairs_sorted(left, right, left_keys, right_keys)
-    return _pairs_to_output(left, right, li, ri, how)
-
-
-def block_nested_loop_join(
-    left: Batch,
-    right: Batch,
-    left_keys: Sequence[str],
-    right_keys: Sequence[str],
-    how: str = "inner",
-    block_rows: int = 256,
-) -> Batch:
-    """Block nested-loop join: compare each left block against all right rows.
-
-    The quadratic fallback — only sensible when one side is tiny.  Output
-    is byte-identical to :func:`hash_join` (left-major pair order).
-    """
-    _check_join_keys(left_keys, right_keys)
-    left_rows = batch_mod.num_rows(left)
-    right_rows = batch_mod.num_rows(right)
-    right_tuples = _key_tuples(right, right_keys, right_rows)
-    left_cols = [left[k] for k in left_keys]
-    left_indices: List[int] = []
-    right_indices: List[int] = []
-    for start in range(0, left_rows, block_rows):
-        stop = min(start + block_rows, left_rows)
-        block = [
-            (row, tuple(col[row] for col in left_cols))
-            for row in range(start, stop)
-        ]
-        for row, key in block:
-            for r in range(right_rows):
-                if right_tuples[r] == key:
-                    left_indices.append(row)
-                    right_indices.append(r)
-    li = np.asarray(left_indices, dtype=np.int64)
-    ri = np.asarray(right_indices, dtype=np.int64)
-    return _pairs_to_output(left, right, li, ri, how)
-
-
-def index_nested_loop_join(
-    left: Batch,
-    right: Batch,
-    left_keys: Sequence[str],
-    right_keys: Sequence[str],
-    how: str = "inner",
-) -> Batch:
-    """Index nested-loop join: probe a sorted index over the right input.
-
-    Models probing a secondary index: the right side's key column is
-    sorted once (the "index build" the optimizer assumes already paid
-    for by a ``CREATE INDEX``) and each left row binary-searches it.
-    Output is byte-identical to :func:`hash_join`.
-    """
-    _check_join_keys(left_keys, right_keys)
-    left_rows = batch_mod.num_rows(left)
-    right_rows = batch_mod.num_rows(right)
-    right_tuples = _key_tuples(right, right_keys, right_rows)
-    rorder = sorted(range(right_rows), key=lambda i: (right_tuples[i], i))
-    sorted_keys = [right_tuples[i] for i in rorder]
-    left_cols = [left[k] for k in left_keys]
-    left_indices: List[int] = []
-    right_indices: List[int] = []
-    for row in range(left_rows):
-        key = tuple(col[row] for col in left_cols)
-        lo = bisect.bisect_left(sorted_keys, key)
-        hi = bisect.bisect_right(sorted_keys, key)
-        for pos in range(lo, hi):
-            left_indices.append(row)
-            right_indices.append(rorder[pos])
-    li = np.asarray(left_indices, dtype=np.int64)
-    ri = np.asarray(right_indices, dtype=np.int64)
-    return _pairs_to_output(left, right, li, ri, how)
+    out: Batch = {name: values[li] for name, values in left.items()}
+    out.update({name: values[ri] for name, values in right.items()})
+    return out
 
 
 #: The physical join algorithms a :class:`repro.engine.planner.Join`
-#: node may carry, mapped to their operator implementations.  Every
-#: algorithm returns byte-identical output for the same inputs.
+#: node may carry.  The name is a costing and EXPLAIN label: the
+#: optimizer prices each shape differently, but one kernel runs them all,
+#: so every label returns byte-identical output for the same inputs.
 JOIN_ALGORITHMS = {
     "hash": hash_join,
-    "sort_merge": sort_merge_join,
-    "index_nl": index_nested_loop_join,
-    "block_nl": block_nested_loop_join,
+    "sort_merge": hash_join,
+    "index_nl": hash_join,
+    "block_nl": hash_join,
 }
 
 
@@ -285,7 +112,7 @@ def join(
     how: str = "inner",
     algorithm: str = "hash",
 ) -> Batch:
-    """Dispatch one join to its named physical algorithm."""
+    """Run one join; ``algorithm`` must name a :data:`JOIN_ALGORITHMS` label."""
     try:
         fn = JOIN_ALGORITHMS[algorithm]
     except KeyError:
@@ -331,12 +158,27 @@ def aggregate(batch: Batch, group_keys: Sequence[str], aggs: AggSpec) -> Batch:
             _fold(func, inputs[name], np.asarray(indices, dtype=np.int64), rows)
             for __, indices in ordered
         ]
-        out[name] = _column_from_list(values, None)
+        if values:
+            out[name] = _column_from_list(values, None)
+        else:
+            out[name] = np.empty(0, dtype=_empty_agg_dtype(func, inputs[name]))
     return out
 
 
+def _empty_agg_dtype(func: str, values: Optional[np.ndarray]) -> np.dtype:
+    """The column dtype a grouped aggregate has over zero groups."""
+    if func in ("count", "count_distinct"):
+        return np.dtype(np.int64)
+    if func == "avg":
+        return np.dtype(np.float64)
+    return values.dtype if values is not None else np.dtype(object)
+
+
 def sort(batch: Batch, keys: Sequence[Tuple[str, bool]]) -> Batch:
-    """Sort by ``(column, ascending)`` keys, most significant first."""
+    """Sort by ``(column, ascending)`` keys, most significant first.
+
+    Stable: rows tied on every key keep their input order.
+    """
     rows = batch_mod.num_rows(batch)
     if rows == 0:
         return batch
@@ -344,19 +186,23 @@ def sort(batch: Batch, keys: Sequence[Tuple[str, bool]]) -> Batch:
     # Stable sorts applied from least-significant key to most-significant.
     for column, ascending in reversed(list(keys)):
         values = batch[column][order]
-        if values.dtype.kind == "O":
-            perm = np.array(
-                sorted(range(len(values)), key=lambda i: values[i]), dtype=np.int64
-            )
+        if ascending:
+            perm = _stable_argsort(values)
         else:
-            perm = np.argsort(values, kind="stable")
-        if not ascending:
-            perm = perm[::-1]
-            # Reversal breaks stability for equal keys; restore it by a
-            # stable re-sort of the reversed ties only when needed.  For
-            # benchmark workloads ties on a descending key are harmless.
+            # A stable descending sort: sort the reversed values ascending,
+            # map back to original positions and reverse, so ties keep
+            # their input order instead of flipping it.
+            perm = (rows - 1 - _stable_argsort(values[::-1]))[::-1]
         order = order[perm]
     return batch_mod.take(batch, order)
+
+
+def _stable_argsort(values: np.ndarray) -> np.ndarray:
+    if values.dtype.kind == "O":
+        return np.array(
+            sorted(range(len(values)), key=lambda i: values[i]), dtype=np.int64
+        )
+    return np.argsort(values, kind="stable")
 
 
 def limit(batch: Batch, count: int) -> Batch:

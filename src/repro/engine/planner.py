@@ -57,8 +57,9 @@ class Join:
     """Equi-join of two subplans under a named physical algorithm.
 
     ``algorithm`` is one of :data:`repro.engine.operators.JOIN_ALGORITHMS`
-    (``hash``, ``sort_merge``, ``index_nl``, ``block_nl``).  All produce
-    the same rows in the same order; the optimizer picks the cheapest.
+    (``hash``, ``sort_merge``, ``index_nl``, ``block_nl``): a costing and
+    EXPLAIN label the optimizer picks by cost.  One kernel runs every
+    label, so all produce the same rows in the same order.
     """
 
     left: "Plan"

@@ -6,6 +6,12 @@ deletion vectors (merge-on-read), with projection and zone-map pruning
 pushed down.  The FE concatenates the partial batches and runs the rest of
 the plan, charging its CPU cost to the clock as the root task.
 
+:func:`execute_query` is the one query path.  Plain queries, the query
+store's profiled runs and EXPLAIN ANALYZE all go through it; the latter
+two pass a :class:`~repro.engine.explain.PlanProfile` sink, which adds
+scan pruning reports, estimates and per-operator stats without changing
+what runs or what the clock is charged.
+
 Scans also gather the coarse per-table statistics (file counts, deleted
 rows) the FE pushes to the STO (Section 5.1) — the trigger feed for
 autonomous compaction.
@@ -21,11 +27,9 @@ from repro.dcp.tasks import Task, TaskContext
 from repro.engine.batch import Batch, concat_batches, empty_batch, num_rows
 from repro.engine.executor import execute_plan
 from repro.engine.explain import (
-    AnalyzeResult,
     PlanProfile,
     estimate_cardinalities,
-    explain_analyze,
-    run_with_stats,
+    operator_stats,
 )
 from repro.engine.operators import filter_batch
 from repro.engine.planner import Plan, TableScan, scans_of
@@ -159,27 +163,12 @@ def optimize_plan(
     return rewritten
 
 
-def _annotations(
-    context: ServiceContext,
-    txn: PolarisTransaction,
-    plan: Plan,
-    scan_details: "Dict[int, Dict[str, Any]]",
-):
-    """(estimates, provenance, costs) for EXPLAIN-style rendering."""
-    scan_rows = {
-        scan_id: float(report.get("est_rows", 0))
-        for scan_id, report in scan_details.items()
-    }
-    if context.optimizer is not None:
-        return context.optimizer.annotate(txn, plan, scan_rows)
-    return estimate_cardinalities(plan, scan_rows), None, None
-
-
 def execute_query(
     context: ServiceContext,
     txn: PolarisTransaction,
     plan: Plan,
     as_of: "float | None" = None,
+    profile: Optional[PlanProfile] = None,
 ) -> Batch:
     """Execute a full query plan within ``txn``'s snapshot.
 
@@ -189,44 +178,13 @@ def execute_query(
     at the root, with its CPU cost charged to the simulated clock.  With
     ``as_of``, every scan reads the tables' state at that timestamp
     instead (Query As Of).
-    """
-    plan = optimize_plan(context, txn, plan)
-    scanned: Dict[int, Batch] = {}
-    scan_rows = 0
 
-    def source(scan: TableScan) -> Batch:
-        batch = scanned[id(scan)]
-        return batch
-
-    for scan in scans_of(plan):
-        override = None
-        if as_of is not None:
-            table_row = describe_table(txn.root, scan.table)
-            override = snapshot_as_of(context, table_row["table_id"], as_of)
-        batch = scan_table(context, txn, scan, snapshot_override=override)
-        scanned[id(scan)] = batch
-        scan_rows += num_rows(batch)
-
-    result = execute_plan(plan, source)
-    root_cost = context.cost_model.task_duration(scan_rows, 0, 0)
-    context.clock.advance(root_cost)
-    return result
-
-
-def execute_query_analyzed(
-    context: ServiceContext,
-    txn: PolarisTransaction,
-    plan: Plan,
-    as_of: "float | None" = None,
-) -> AnalyzeResult:
-    """EXPLAIN ANALYZE: run ``plan`` like :func:`execute_query`, annotated.
-
-    Identical execution path — optimizer rewrite, distributed scans
-    through the DCP, residual plan at the root, root CPU cost charged to
-    the clock — but every scan collects a pruning/row report and every
-    operator is timed, so the result carries the annotated operator tree
-    alongside the batch (estimates tagged with their ``stats``/``default``
-    provenance and optimizer cost when statistics exist).
+    A ``profile`` sink is filled with the executed (optimized) plan, the
+    scans' pruning reports and simulated times, the estimates (with
+    provenance and optimizer costs when statistics exist) and the
+    per-operator stats.  Profiling changes neither the result nor the
+    clock charges: scans, then annotations, then execution, then the
+    root charge.
     """
     plan = optimize_plan(context, txn, plan)
     scanned: Dict[int, Batch] = {}
@@ -241,79 +199,52 @@ def execute_query_analyzed(
         if as_of is not None:
             table_row = describe_table(txn.root, scan.table)
             override = snapshot_as_of(context, table_row["table_id"], as_of)
+        report: Optional[Dict[str, Any]] = {} if profile is not None else None
         started = context.clock.now
-        report: Dict[str, Any] = {}
         batch = scan_table(
             context, txn, scan, snapshot_override=override, report=report
         )
-        report["sim_time_s"] = context.clock.now - started
+        if report is not None:
+            report["sim_time_s"] = context.clock.now - started
+            scan_details[id(scan)] = report
         scanned[id(scan)] = batch
-        scan_details[id(scan)] = report
         scan_rows += num_rows(batch)
 
-    estimates, provenance, costs = _annotations(
-        context, txn, plan, scan_details
-    )
-    result = explain_analyze(
-        plan,
-        source,
-        cost_model=context.cost_model,
-        scan_details=scan_details,
-        estimates=estimates,
-        provenance=provenance,
-        costs=costs,
-    )
+    rows: Optional[Dict[int, int]] = None
+    if profile is not None:
+        _annotate(context, txn, plan, scan_details, profile)
+        rows = {}
+    result = execute_plan(plan, source, rows)
+    if profile is not None:
+        profile.stats = operator_stats(
+            plan, rows, scan_details, context.cost_model
+        )
     root_cost = context.cost_model.task_duration(scan_rows, 0, 0)
     context.clock.advance(root_cost)
     return result
 
 
-def execute_query_profiled(
+def _annotate(
     context: ServiceContext,
     txn: PolarisTransaction,
     plan: Plan,
-    as_of: "float | None" = None,
-) -> PlanProfile:
-    """Run ``plan`` collecting per-operator stats without rendering text.
-
-    The query-store execution path: identical clock charges to
-    :func:`execute_query` (distributed scans, root CPU cost), plus the
-    same pruning reports and operator stats as
-    :func:`execute_query_analyzed` minus the annotated-tree rendering —
-    cheap enough to run on every statement.  The returned profile
-    carries the *optimized* plan so the query store fingerprints what
-    actually ran.
-    """
-    plan = optimize_plan(context, txn, plan)
-    scanned: Dict[int, Batch] = {}
-    scan_details: Dict[int, Dict[str, Any]] = {}
-    scan_rows = 0
-
-    def source(scan: TableScan) -> Batch:
-        return scanned[id(scan)]
-
-    for scan in scans_of(plan):
-        override = None
-        if as_of is not None:
-            table_row = describe_table(txn.root, scan.table)
-            override = snapshot_as_of(context, table_row["table_id"], as_of)
-        started = context.clock.now
-        report: Dict[str, Any] = {}
-        batch = scan_table(
-            context, txn, scan, snapshot_override=override, report=report
+    scan_details: Dict[int, Dict[str, Any]],
+    profile: PlanProfile,
+) -> None:
+    """Start ``profile`` afresh for ``plan``: scans, estimates, costs."""
+    scan_rows = {
+        scan_id: float(report.get("est_rows", 0))
+        for scan_id, report in scan_details.items()
+    }
+    profile.plan = plan
+    profile.scan_details = scan_details
+    if context.optimizer is not None:
+        profile.estimates, profile.provenance, profile.costs = (
+            context.optimizer.annotate(txn, plan, scan_rows)
         )
-        report["sim_time_s"] = context.clock.now - started
-        scanned[id(scan)] = batch
-        scan_details[id(scan)] = report
-        scan_rows += num_rows(batch)
-
-    estimates, _, _ = _annotations(context, txn, plan, scan_details)
-    batch, stats = run_with_stats(
-        plan, source, cost_model=context.cost_model, scan_details=scan_details
-    )
-    root_cost = context.cost_model.task_duration(scan_rows, 0, 0)
-    context.clock.advance(root_cost)
-    return PlanProfile(batch=batch, stats=stats, estimates=estimates, plan=plan)
+    else:
+        profile.estimates = estimate_cardinalities(plan, scan_rows)
+        profile.provenance, profile.costs = {}, {}
 
 
 def _prune_snapshot(snapshot: TableSnapshot, prune) -> TableSnapshot:

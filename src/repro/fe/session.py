@@ -20,6 +20,7 @@ from repro.common.errors import (
     WriteConflictError,
 )
 from repro.engine.batch import Batch
+from repro.engine.explain import PlanProfile
 from repro.engine.expressions import Expr
 from repro.engine.planner import Plan
 from repro.fe import catalog as ddl
@@ -191,37 +192,38 @@ class Session:
 
     def query_profiled(
         self, plan: Plan, as_of: Optional[float] = None
-    ) -> "read_path.PlanProfile":
+    ) -> PlanProfile:
         """Execute a query plan collecting per-operator stats.
 
-        Identical clock charges and span shape to :meth:`query` — the
-        query store routes SELECTs through here so every execution yields
-        cardinality feedback (est vs actual rows per operator) without
-        rendering EXPLAIN ANALYZE text.
+        The same execution, clock charges and span shape as :meth:`query`,
+        with a :class:`~repro.engine.explain.PlanProfile` sink; the query
+        store routes SELECTs through here so every execution yields
+        cardinality feedback (est vs actual rows per operator).
         """
-        return self._run(
-            lambda txn: read_path.execute_query_profiled(
-                self._context, txn, plan, as_of=as_of
-            ),
-            name="query",
-        )
+        return self._profiled(plan, as_of, "query")
 
     def explain_analyze(
         self, plan: Plan, as_of: Optional[float] = None
-    ) -> "read_path.AnalyzeResult":
+    ) -> PlanProfile:
         """EXPLAIN ANALYZE: execute ``plan`` and annotate its operators.
 
-        Runs exactly like :meth:`query` (same DCP scans, same clock
-        charges) but returns an :class:`~repro.engine.explain.AnalyzeResult`
-        whose ``text`` shows per-operator rows, simulated time, and file /
+        Runs exactly like :meth:`query_profiled`; the returned profile's
+        ``text`` shows per-operator rows, simulated time, and file /
         row-group pruning counts, with the output batch on ``.batch``.
         """
-        return self._run(
-            lambda txn: read_path.execute_query_analyzed(
-                self._context, txn, plan, as_of=as_of
+        return self._profiled(plan, as_of, "explain_analyze")
+
+    def _profiled(
+        self, plan: Plan, as_of: Optional[float], name: str
+    ) -> PlanProfile:
+        profile = PlanProfile()
+        profile.batch = self._run(
+            lambda txn: read_path.execute_query(
+                self._context, txn, plan, as_of=as_of, profile=profile
             ),
-            name="explain_analyze",
+            name=name,
         )
+        return profile
 
     def analyze_table(self, table: str):
         """ANALYZE: collect and persist optimizer statistics for a table.

@@ -41,6 +41,9 @@ HASH_SPILL_ROWS = 65_536
 SORT_FACTOR = 0.25
 #: Per-probe overhead of an index lookup on top of ``log2`` search.
 INDEX_PROBE_OVERHEAD = 4.0
+#: Left rows per block of a block-nested-loop join: one pass over the
+#: right input serves a whole block.
+BLOCK_NL_ROWS = 256
 
 
 def join_algorithm_cost(
@@ -48,7 +51,6 @@ def join_algorithm_cost(
     left_rows: float,
     right_rows: float,
     out_rows: float,
-    block_rows: int = 256,
 ) -> float:
     """Cost of joining ``left × right`` with one algorithm."""
     left = max(left_rows, 0.0)
@@ -68,7 +70,7 @@ def join_algorithm_cost(
     if algorithm == "index_nl":
         return left * (math.log2(right + 2.0) + INDEX_PROBE_OVERHEAD) + out
     if algorithm == "block_nl":
-        return (left * right) / max(block_rows, 1) + out
+        return (left * right) / BLOCK_NL_ROWS + out
     raise PlanError(f"unknown join algorithm {algorithm!r}")
 
 
@@ -77,7 +79,6 @@ def choose_join_algorithm(
     right_rows: float,
     out_rows: float,
     right_index: bool,
-    block_rows: int = 256,
 ) -> Tuple[str, float]:
     """The cheapest applicable algorithm and its cost.
 
@@ -90,9 +91,7 @@ def choose_join_algorithm(
         candidates.append("index_nl")
     best: "Tuple[float, str] | None" = None
     for name in sorted(candidates):
-        cost = join_algorithm_cost(
-            name, left_rows, right_rows, out_rows, block_rows
-        )
+        cost = join_algorithm_cost(name, left_rows, right_rows, out_rows)
         if best is None or cost < best[0]:
             best = (cost, name)
     assert best is not None
@@ -103,7 +102,6 @@ def plan_costs(
     plan: Plan,
     estimates: Dict[int, int],
     indexed_keys: Optional[Set[Tuple[str, str]]] = None,
-    block_rows: int = 256,
 ) -> Dict[int, float]:
     """Cumulative (subtree) cost per plan node, keyed by ``id(node)``.
 
@@ -130,7 +128,6 @@ def plan_costs(
                 rows(node.left),
                 rows(node.right),
                 rows(node),
-                block_rows,
             )
         elif isinstance(node, Aggregate):
             cost = walk(node.child) + rows(node.child) + rows(node)

@@ -282,12 +282,7 @@ class QueryOptimizer:
         estimates = cardinality.estimate_with_stats(
             plan, scan_rows, stats, provenance=provenance
         )
-        costs = plan_costs(
-            plan,
-            estimates,
-            self.indexed_keys(txn, plan),
-            self._config.block_nl_rows,
-        )
+        costs = plan_costs(plan, estimates, self.indexed_keys(txn, plan))
         return estimates, provenance, costs
 
     # -- index pruning --------------------------------------------------------

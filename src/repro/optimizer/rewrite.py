@@ -81,9 +81,7 @@ def rewrite_plan(
     plan = _propagate_equalities(plan, columns, info)
     if config.join_reordering:
         plan = _reorder_joins(plan, stats_by_table, info)
-    plan = _choose_algorithms(
-        plan, stats_by_table, indexed_keys, config, info
-    )
+    plan = _choose_algorithms(plan, stats_by_table, indexed_keys, info)
     return plan, info
 
 
@@ -349,7 +347,6 @@ def _choose_algorithms(
     plan: Plan,
     stats_by_table: Dict[str, TableStatistics],
     indexed_keys: Set[Tuple[str, str]],
-    config: OptimizerConfig,
     info: RewriteInfo,
 ) -> Plan:
     """Bottom-up, pick the cheapest algorithm for every join."""
@@ -371,7 +368,6 @@ def _choose_algorithms(
                 float(estimates.get(id(node.right), 0)),
                 float(estimates.get(id(node), 0)),
                 right_index=right_index,
-                block_rows=config.block_nl_rows,
             )
             if algorithm != node.algorithm:
                 info.algorithm_switches += 1

@@ -132,9 +132,36 @@ class TestAggregate:
         assert out["n"][0] == 0
 
     def test_empty_input_grouped(self):
-        empty = {"g": np.empty(0, dtype=np.int64), "v": np.empty(0)}
-        out = aggregate(empty, ["g"], {"total": ("sum", Col("v"))})
+        empty = {
+            "g": np.empty(0, dtype=np.int64),
+            "v": np.empty(0),
+            "i": np.empty(0, dtype=np.int64),
+        }
+        out = aggregate(
+            empty,
+            ["g"],
+            {
+                "total": ("sum", Col("v")),
+                "itotal": ("sum", Col("i")),
+                "lo": ("min", Col("i")),
+                "hi": ("max", Col("v")),
+                "n": ("count", None),
+                "d": ("count_distinct", Col("i")),
+                "mean": ("avg", Col("i")),
+            },
+        )
         assert num_rows(out) == 0
+        dtypes = {name: values.dtype for name, values in out.items()}
+        assert dtypes == {
+            "g": np.int64,
+            "total": np.float64,
+            "itotal": np.int64,
+            "lo": np.int64,
+            "hi": np.float64,
+            "n": np.int64,
+            "d": np.int64,
+            "mean": np.float64,
+        }
 
     def test_unknown_aggregate_rejected(self):
         with pytest.raises(PlanError, match="unknown aggregate"):
@@ -166,6 +193,37 @@ class TestSortLimit:
         assert list(zip(out["a"].tolist(), out["b"].tolist())) == [
             (1, 1), (1, 2), (2, 0), (2, 1)
         ]
+
+    @pytest.mark.parametrize("kind", ["int", "object"])
+    @pytest.mark.parametrize(
+        "keys, expected",
+        [
+            (
+                [("a", False), ("b", True)],
+                [(2, 0), (2, 1), (2, 1), (1, 1), (1, 2), (1, 2)],
+            ),
+            (
+                [("a", False), ("b", False)],
+                [(2, 1), (2, 1), (2, 0), (1, 2), (1, 2), (1, 1)],
+            ),
+            (
+                [("a", True), ("b", False)],
+                [(1, 2), (1, 2), (1, 1), (2, 1), (2, 1), (2, 0)],
+            ),
+        ],
+    )
+    def test_descending_keys_with_ties(self, kind, keys, expected):
+        rows = [(2, 1, 0), (1, 2, 1), (2, 0, 2), (1, 1, 3), (2, 1, 4), (1, 2, 5)]
+        batch = from_rows(["a", "b", "pos"], rows)
+        if kind == "object":
+            batch["a"] = batch["a"].astype(object)
+        out = sort(batch, keys)
+        assert list(zip(out["a"].tolist(), out["b"].tolist())) == expected
+        # Rows tied on every key keep their input order (stability).
+        by_key = {}
+        for a, b, pos in zip(*(out[c].tolist() for c in ("a", "b", "pos"))):
+            by_key.setdefault((a, b), []).append(pos)
+        assert all(positions == sorted(positions) for positions in by_key.values())
 
     def test_sort_strings(self):
         out = sort(RIGHT, [("name", True)])

@@ -16,7 +16,8 @@ from repro import (
     Warehouse,
     and_,
 )
-from repro.engine.planner import Filter, Project
+from repro.engine.explain import operator_labels, operator_summaries
+from repro.engine.planner import Filter, Join, Project
 from tests.conftest import small_config
 
 
@@ -28,7 +29,10 @@ def dw() -> Warehouse:
 
 @pytest.fixture
 def loaded(dw):
-    session = dw.session()
+    return load_t(dw.session())
+
+
+def load_t(session):
     session.create_table(
         "t",
         Schema.of(("id", "int64"), ("v", "float64")),
@@ -130,15 +134,60 @@ class TestExplainAnalyze:
         filter_stats = result.stats_for(plan.child)
         assert filter_stats.rows == 300
 
-    def test_clock_charged_like_query(self, dw, loaded):
-        plan = self.plan()
-        before = dw.clock.now
-        loaded.explain_analyze(plan)
-        analyzed_elapsed = dw.clock.now - before
-        before = dw.clock.now
-        loaded.query(plan)
-        query_elapsed = dw.clock.now - before
-        assert analyzed_elapsed == pytest.approx(query_elapsed, rel=0.2)
+    def join_plan(self, session):
+        """t JOIN d after ANALYZE: the optimizer picks a non-hash join."""
+        session.create_table(
+            "d",
+            Schema.of(("k", "int64"), ("w", "float64")),
+            distribution_column="k",
+        )
+        session.insert(
+            "d",
+            {"k": np.array([10, 20, 1010], dtype=np.int64), "w": np.ones(3)},
+        )
+        session.analyze_table("t")
+        session.analyze_table("d")
+        return Project(
+            Join(TableScan("t", ("id", "v")), TableScan("d", ("k", "w")),
+                 ("id",), ("k",)),
+            {"id": Col("id"), "v": Col("v"), "w": Col("w")},
+        )
+
+    @pytest.mark.parametrize("shape", ["scan", "join"])
+    def test_clock_charged_like_query(self, shape):
+        # Each entry point runs on its own identically built warehouse,
+        # so all three start from the same simulated instant and must
+        # end on the same one.
+        outcomes = {}
+        for entry in ("query", "query_profiled", "explain_analyze"):
+            dw = Warehouse(config=small_config(), auto_optimize=False)
+            session = load_t(dw.session())
+            plan = self.plan() if shape == "scan" else self.join_plan(session)
+            before = dw.clock.now
+            out = getattr(session, entry)(plan)
+            outcomes[entry] = (before, dw.clock.now, out)
+        assert len({(b, a) for b, a, _ in outcomes.values()}) == 1
+
+        batch = outcomes["query"][2]
+        profiled = outcomes["query_profiled"][2]
+        analyzed = outcomes["explain_analyze"][2]
+        for other in (profiled.batch, analyzed.batch):
+            assert list(other) == list(batch)
+            for name, values in batch.items():
+                assert other[name].dtype == values.dtype
+                assert other[name].tolist() == values.tolist()
+
+        if shape == "join":
+            (join,) = [n for _, n, _ in operator_labels(analyzed.plan)
+                       if isinstance(n, Join)]
+            assert join.algorithm != "hash"
+        summaries = operator_summaries(
+            profiled.plan, profiled.stats, profiled.estimates
+        )
+        assert [(r["operator"], r["actual_rows"]) for r in summaries] == [
+            (label, analyzed.stats_for(node).rows)
+            for _, node, label in operator_labels(analyzed.plan)
+        ]
 
 
 class TestSqlExplain:

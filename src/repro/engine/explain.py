@@ -9,16 +9,16 @@ through the one interpreter (:func:`repro.engine.executor.execute_plan`)
 and, when asked, fills a :class:`PlanProfile` sink with what it saw:
 the executed plan, the scans' pruning reports, the estimates and the
 per-node output rows.  Two pure functions read that sink:
-:func:`operator_stats` turns the row counts into per-operator
-:class:`OperatorStats`, and :func:`render_analyze` renders the EXPLAIN
-ANALYZE text (every operator annotated with rows produced, simulated
-time and, for scans, file- and row-group-level pruning counts).  The
+:func:`operator_stats` pairs the row counts with the seconds the root
+task was charged per operator into :class:`OperatorStats`, and
+:func:`render_analyze` renders the EXPLAIN ANALYZE text (every operator
+annotated with rows produced, simulated time and, for scans, file- and
+row-group-level pruning counts).  The
 query store reads the same sink through :func:`operator_summaries`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -93,8 +93,9 @@ class OperatorStats:
 
     #: Rows the operator produced.
     rows: int
-    #: Simulated seconds attributed to the operator (measured for scans,
-    #: cost-model estimated for root-side operators; None if unknown).
+    #: Simulated seconds the statement was charged for the operator: the
+    #: measured distributed scan for scans, the root task's charge for
+    #: the rest (None if unknown).
     sim_time_s: Optional[float] = None
     #: Scan-only extras: files/files_pruned, row_groups/row_groups_pruned,
     #: cells — whatever the scan source reported.
@@ -122,10 +123,11 @@ class PlanProfile:
     scan_details: Dict[int, Dict[str, Any]] = field(default_factory=dict)
     #: Planner-estimated output rows.
     estimates: Dict[int, int] = field(default_factory=dict)
-    #: Estimate provenance (``stats`` / ``default``) when the cost-based
-    #: optimizer supplied it.
+    #: Estimate provenance (``stats`` / ``default``).
     provenance: Dict[int, str] = field(default_factory=dict)
-    #: Optimizer cost units, when the cost-based optimizer supplied them.
+    #: Estimated simulated seconds per root-side operator: the cost model
+    #: over the estimates, comparable to the charged ``sim_time_s`` of
+    #: :attr:`stats` (scans are priced by their tasks, not here).
     costs: Dict[int, float] = field(default_factory=dict)
     #: Per-operator stats (:func:`operator_stats`).
     stats: Dict[int, OperatorStats] = field(default_factory=dict)
@@ -150,101 +152,6 @@ def misestimate_ratio(est_rows: float, actual_rows: float) -> float:
     est = max(float(est_rows), 1.0)
     actual = max(float(actual_rows), 1.0)
     return max(actual / est, est / actual)
-
-
-@dataclass(frozen=True)
-class DefaultSelectivity:
-    """Textbook fallback selectivities, used only without collected stats.
-
-    The classic System R defaults: a predicate keeps one third of its
-    input, zone-map pruning keeps one half, a grouped aggregate emits
-    ``sqrt(input)`` groups.  The cost-based optimizer replaces every one
-    of these with histogram/NDV-derived numbers once ``ANALYZE`` has run
-    on the tables involved (:mod:`repro.optimizer.cardinality`); when it
-    does, the per-node provenance map records ``stats`` instead of
-    ``default`` so EXPLAIN shows which path produced each estimate.
-    """
-
-    #: Fraction of input rows assumed to survive a predicate.
-    predicate: float = 1.0 / 3.0
-    #: Fraction of a scan's rows assumed to survive zone-map pruning.
-    prune: float = 0.5
-
-    def group_count(self, input_rows: float) -> float:
-        """Assumed distinct-group count of a grouped aggregate."""
-        return math.ceil(math.sqrt(input_rows))
-
-
-#: The shared default-selectivity table.
-DEFAULT_SELECTIVITY = DefaultSelectivity()
-
-#: Estimate-provenance tags recorded per plan node: ``default`` means a
-#: :class:`DefaultSelectivity` guess, ``stats`` means collected ANALYZE
-#: statistics drove the number.
-PROVENANCE_DEFAULT = "default"
-PROVENANCE_STATS = "stats"
-
-
-def clamp_estimate(value: float) -> int:
-    """Round an estimate; a nonzero fraction means "some rows", never zero."""
-    if value >= 1.0:
-        return int(round(value))
-    return 1 if value > 0 else 0
-
-
-def estimate_cardinalities(
-    plan: Plan,
-    scan_rows: Dict[int, float],
-    provenance: Optional[Dict[int, str]] = None,
-    selectivity: DefaultSelectivity = DEFAULT_SELECTIVITY,
-) -> Dict[int, int]:
-    """First-order estimated output rows per operator, keyed by id(node).
-
-    ``scan_rows`` maps ``id(scan_node)`` to the table's live row count
-    (file rows minus deletion-vector cardinalities) — the statistic the
-    snapshot manifest maintains without any ANALYZE.  The
-    :class:`DefaultSelectivity` table covers the rest: predicates keep
-    1/3 of rows, pruning keeps 1/2, joins carry the larger input,
-    grouped aggregates emit ``sqrt(input)`` groups.  The point is not
-    precision — it is producing an estimate the query store can compare
-    against actuals, turning misestimates into recorded feedback.
-
-    Every node's estimate is tagged :data:`PROVENANCE_DEFAULT` in
-    ``provenance`` (when given); the stats-driven estimator in
-    :mod:`repro.optimizer.cardinality` is the path that tags
-    :data:`PROVENANCE_STATS`.
-    """
-    estimates: Dict[int, int] = {}
-
-    def walk(node: Plan) -> float:
-        if isinstance(node, TableScan):
-            value = float(scan_rows.get(id(node), 0.0))
-            if node.prune:
-                value *= selectivity.prune
-            if node.predicate is not None:
-                value *= selectivity.predicate
-        elif isinstance(node, Filter):
-            value = walk(node.child) * selectivity.predicate
-        elif isinstance(node, Project):
-            value = walk(node.child)
-        elif isinstance(node, Join):
-            value = max(walk(node.left), walk(node.right))
-        elif isinstance(node, Aggregate):
-            child = walk(node.child)
-            value = selectivity.group_count(child) if node.group_keys else 1.0
-        elif isinstance(node, Sort):
-            value = walk(node.child)
-        elif isinstance(node, Limit):
-            value = min(walk(node.child), float(node.count))
-        else:
-            raise PlanError(f"unknown plan node {node!r}")
-        estimates[id(node)] = clamp_estimate(value)
-        if provenance is not None:
-            provenance[id(node)] = PROVENANCE_DEFAULT
-        return value
-
-    walk(plan)
-    return estimates
 
 
 #: Display names of the physical join algorithms (plan text, operator
@@ -347,15 +254,15 @@ def operator_stats(
     plan: Plan,
     rows: Dict[int, int],
     scan_details: Dict[int, Dict[str, Any]],
-    cost_model,
+    charges: Dict[int, float],
 ) -> Dict[int, OperatorStats]:
     """Per-operator stats of one execution, keyed by ``id(node)``.
 
-    ``rows`` is the row sink of :func:`repro.engine.executor.execute_plan`.
-    Scans take their simulated time and pruning counts from
-    ``scan_details`` (the FE read path measures them); root-side
-    operators are costed with ``cost_model`` over their input rows — the
-    same first-order model the FE charges the clock with.
+    ``rows`` is the row sink of :func:`repro.engine.executor.execute_plan`
+    and ``charges`` the per-operator seconds the root task was charged
+    for them (:meth:`repro.dcp.costmodel.CostModel.operator_costs`).
+    Scans take their measured simulated time and pruning counts from
+    ``scan_details``.  Nothing is costed here.
     """
     stats: Dict[int, OperatorStats] = {}
     for node in _preorder(plan):
@@ -364,8 +271,7 @@ def operator_stats(
             elapsed = details.pop("sim_time_s", None)
         else:
             details = {}
-            input_rows = sum(rows[id(child)] for child in _children(node))
-            elapsed = cost_model.task_duration(input_rows, 0, 0)
+            elapsed = charges[id(node)]
         stats[id(node)] = OperatorStats(
             rows=rows[id(node)], sim_time_s=elapsed, details=details
         )
@@ -375,10 +281,11 @@ def operator_stats(
 def render_analyze(profile: PlanProfile) -> str:
     """EXPLAIN ANALYZE text: the executed plan with observed stats.
 
-    Every operator shows its rows and simulated time; ``est=``/``ratio=``
-    make cardinality misestimates visible, ``stats=`` and ``cost=`` show
-    the cost-based optimizer's provenance and cost when it supplied them,
-    and scans add their file / row-group pruning counts.
+    Every operator shows its rows and charged simulated ``time=``;
+    ``est=``/``ratio=`` make cardinality misestimates visible, ``stats=``
+    shows each estimate's provenance and ``cost=`` the seconds the cost
+    model priced from the estimates, and scans add their file /
+    row-group pruning counts.
     """
     lines: List[str] = []
     _walk(profile.plan, 0, lines, annotate=lambda node: _annotation(profile, node))
@@ -399,7 +306,7 @@ def _annotation(profile: PlanProfile, node: Plan) -> str:
         parts.append(f"stats={provenance}")
     cost = profile.costs.get(id(node))
     if cost is not None:
-        parts.append(f"cost={cost:.1f}")
+        parts.append(f"cost={cost:.3f}s")
     if node_stats.sim_time_s is not None:
         parts.append(f"time={node_stats.sim_time_s:.3f}s")
     details = node_stats.details

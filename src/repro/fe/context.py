@@ -45,6 +45,10 @@ class ServiceContext:
     autoscaler: Autoscaler
     cost_model: CostModel
     cache: SnapshotCache
+    #: Cost-based query optimizer: ANALYZE statistics, secondary indexes
+    #: and plan rewriting (it reads the catalog through each statement's
+    #: transaction); ``config.optimizer.enabled`` is its off switch.
+    optimizer: "QueryOptimizer"
     guids: GuidGenerator
     bus: EventBus
     #: Span tracing + metrics for the whole deployment.
@@ -52,10 +56,6 @@ class ServiceContext:
     #: Resolves ``sys.dm_*`` system-view names (attached after
     #: construction, like the cache — it subscribes to the bus).
     introspection: "Optional[Introspector]" = None
-    #: Cost-based query optimizer: ANALYZE statistics, secondary indexes
-    #: and plan rewriting (attached after construction; it reads the
-    #: catalog through each statement's transaction).
-    optimizer: "Optional[QueryOptimizer]" = None
     #: The multi-tenant gateway fronting this deployment, if one was
     #: constructed (it attaches itself; ``sys.dm_sessions`` /
     #: ``sys.dm_requests`` read it and recovery scavenges it).
@@ -104,6 +104,7 @@ class ServiceContext:
             autoscaler=Autoscaler(config.dcp),
             cost_model=cost_model,
             cache=None,  # type: ignore[arg-type]  -- set just below
+            optimizer=None,  # type: ignore[arg-type]  -- set just below
             guids=GuidGenerator(seed=config.seed),
             bus=bus,
             telemetry=telemetry,

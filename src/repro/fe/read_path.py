@@ -4,7 +4,8 @@ A query plan's base-table scans fan out as one DCP task per cell; each
 task reconstructs its slice from immutable data files plus the current
 deletion vectors (merge-on-read), with projection and zone-map pruning
 pushed down.  The FE concatenates the partial batches and runs the rest of
-the plan, charging its CPU cost to the clock as the root task.
+the plan as the root task, charging the clock what the cost model prices
+each operator at over the rows it actually processed.
 
 :func:`execute_query` is the one query path.  Plain queries, the query
 store's profiled runs and EXPLAIN ANALYZE all go through it; the latter
@@ -26,11 +27,7 @@ from repro.dcp.dag import WorkflowDag
 from repro.dcp.tasks import Task, TaskContext
 from repro.engine.batch import Batch, concat_batches, empty_batch, num_rows
 from repro.engine.executor import execute_plan
-from repro.engine.explain import (
-    PlanProfile,
-    estimate_cardinalities,
-    operator_stats,
-)
+from repro.engine.explain import PlanProfile, operator_stats
 from repro.engine.operators import filter_batch
 from repro.engine.planner import Plan, TableScan, scans_of
 from repro.engine.statistics import collect_stats
@@ -73,10 +70,9 @@ def scan_table(
     full_snapshot = snapshot
     if scan.prune:
         snapshot = _prune_snapshot(snapshot, scan.prune)
-        if context.optimizer is not None:
-            snapshot = context.optimizer.prune_snapshot(
-                txn.root, table_id, scan.prune, snapshot
-            )
+        snapshot = context.optimizer.prune_snapshot(
+            txn.root, table_id, scan.prune, snapshot
+        )
     if report is not None:
         report["files"] = len(full_snapshot.files)
         report["files_pruned"] = len(full_snapshot.files) - len(snapshot.files)
@@ -157,8 +153,6 @@ def optimize_plan(
 ) -> Plan:
     """Run the cost-based rewrite pass over ``plan`` (identity without
     statistics for every referenced table, or with the optimizer off)."""
-    if context.optimizer is None:
-        return plan
     rewritten, _ = context.optimizer.rewrite(txn, plan)
     return rewritten
 
@@ -175,21 +169,21 @@ def execute_query(
     The plan first passes through the cost-based optimizer (a no-op
     until statistics exist); each base scan then runs as its own
     distributed DAG; the residual plan (joins, aggregation, sort) runs
-    at the root, with its CPU cost charged to the simulated clock.  With
+    at the root task, which charges the simulated clock one task
+    overhead plus every operator's cost priced over the rows it actually
+    saw (:meth:`~repro.dcp.costmodel.CostModel.operator_costs`).  With
     ``as_of``, every scan reads the tables' state at that timestamp
     instead (Query As Of).
 
     A ``profile`` sink is filled with the executed (optimized) plan, the
     scans' pruning reports and simulated times, the estimates (with
-    provenance and optimizer costs when statistics exist) and the
-    per-operator stats.  Profiling changes neither the result nor the
-    clock charges: scans, then annotations, then execution, then the
-    root charge.
+    provenance and estimated costs) and the per-operator stats.
+    Profiling changes neither the result nor the clock charges: scans,
+    then annotations, then execution, then the root charge.
     """
     plan = optimize_plan(context, txn, plan)
     scanned: Dict[int, Batch] = {}
     scan_details: Dict[int, Dict[str, Any]] = {}
-    scan_rows = 0
 
     def source(scan: TableScan) -> Batch:
         return scanned[id(scan)]
@@ -208,19 +202,16 @@ def execute_query(
             report["sim_time_s"] = context.clock.now - started
             scan_details[id(scan)] = report
         scanned[id(scan)] = batch
-        scan_rows += num_rows(batch)
 
-    rows: Optional[Dict[int, int]] = None
     if profile is not None:
         _annotate(context, txn, plan, scan_details, profile)
-        rows = {}
+    rows: Dict[int, int] = {}
     result = execute_plan(plan, source, rows)
+    cost_model = context.cost_model
+    charges = cost_model.operator_costs(plan, rows)
     if profile is not None:
-        profile.stats = operator_stats(
-            plan, rows, scan_details, context.cost_model
-        )
-    root_cost = context.cost_model.task_duration(scan_rows, 0, 0)
-    context.clock.advance(root_cost)
+        profile.stats = operator_stats(plan, rows, scan_details, charges)
+    context.clock.advance(cost_model.task_overhead_s + sum(charges.values()))
     return result
 
 
@@ -238,13 +229,9 @@ def _annotate(
     }
     profile.plan = plan
     profile.scan_details = scan_details
-    if context.optimizer is not None:
-        profile.estimates, profile.provenance, profile.costs = (
-            context.optimizer.annotate(txn, plan, scan_rows)
-        )
-    else:
-        profile.estimates = estimate_cardinalities(plan, scan_rows)
-        profile.provenance, profile.costs = {}, {}
+    profile.estimates, profile.provenance, profile.costs = (
+        context.optimizer.annotate(txn, plan, scan_rows)
+    )
 
 
 def _prune_snapshot(snapshot: TableSnapshot, prune) -> TableSnapshot:

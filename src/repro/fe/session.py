@@ -235,8 +235,7 @@ class Session:
         :class:`~repro.optimizer.statistics.TableStatistics`.
         """
         def statement(txn: PolarisTransaction):
-            optimizer: "QueryOptimizer" = self._require_optimizer()
-            return optimizer.analyze_table(txn, table)
+            return self._context.optimizer.analyze_table(txn, table)
 
         return self._run(statement, name="analyze", table=table)
 
@@ -246,8 +245,9 @@ class Session:
         Returns the catalog payload (path, entries, covered files).
         """
         def statement(txn: PolarisTransaction):
-            optimizer: "QueryOptimizer" = self._require_optimizer()
-            return optimizer.create_index(txn, table, index_name, column)
+            return self._context.optimizer.create_index(
+                txn, table, index_name, column
+            )
 
         return self._run(statement, name="create_index", table=table)
 
@@ -262,13 +262,6 @@ class Session:
             return read_path.optimize_plan(self._context, txn, plan)
         finally:
             txn.rollback()
-
-    def _require_optimizer(self):
-        if self._context.optimizer is None:
-            raise TransactionStateError(
-                "this deployment has no query optimizer attached"
-            )
-        return self._context.optimizer
 
     def clone_table(
         self, source: str, target: str, as_of: Optional[float] = None

@@ -7,13 +7,11 @@ The subsystem that makes plan choice data-driven (top ROADMAP item):
   with the snapshot sequence in the ``TableStats`` catalog table.
 * :mod:`repro.optimizer.indexes` — sorted-run secondary index files
   over the pagefile format, with covered-file staleness defence.
-* :mod:`repro.optimizer.cardinality` — stats-aware estimates with
-  ``stats``/``default`` provenance per plan node.
-* :mod:`repro.optimizer.cost` — the cost model pricing scans, the join
-  zoo (hash / sort-merge / index-nested-loop / block-nested-loop) and
-  aggregates.
+* :mod:`repro.optimizer.cardinality` — the one cardinality estimator,
+  stats-aware with ``stats``/``default`` provenance per plan node.
 * :mod:`repro.optimizer.rewrite` — equality transitivity, greedy join
-  reordering and algorithm choice; identity without full statistics.
+  reordering and algorithm choice priced by the one cost model
+  (:mod:`repro.dcp.costmodel`); identity without full statistics.
 * :mod:`repro.optimizer.manager` — the per-deployment façade wired into
   :class:`repro.fe.context.ServiceContext`.
 """

@@ -30,7 +30,6 @@ from repro.common.errors import CatalogError
 from repro.engine.planner import Plan, tables_of
 from repro.lst.snapshot import TableSnapshot
 from repro.optimizer import cardinality
-from repro.optimizer.cost import plan_costs
 from repro.optimizer.indexes import SortedRunIndex, build_index_bytes
 from repro.optimizer.rewrite import RewriteInfo, rewrite_plan
 from repro.optimizer.statistics import (
@@ -254,7 +253,9 @@ class QueryOptimizer:
             return plan, RewriteInfo()
         stats = self.statistics_for_plan(txn, plan)
         indexed = self.indexed_keys(txn, plan)
-        new_plan, info = rewrite_plan(plan, stats, indexed, self._config)
+        new_plan, info = rewrite_plan(
+            plan, stats, indexed, self._config, self._context.cost_model
+        )
         tel = self._context.telemetry
         if tel.metering and info.applied:
             tel.metrics.counter("optimizer.plan.rewrites").inc()
@@ -276,13 +277,17 @@ class QueryOptimizer:
         plan: Plan,
         scan_rows: Dict[int, float],
     ) -> Tuple[Dict[int, int], Dict[int, str], Dict[int, float]]:
-        """Estimates, provenance and costs for EXPLAIN annotation."""
+        """Estimates, provenance and costs for EXPLAIN annotation.
+
+        The costs are the cost model's per-operator seconds over the
+        estimates — the figures the root task is charged over actual rows.
+        """
         stats = self.statistics_for_plan(txn, plan)
         provenance: Dict[int, str] = {}
         estimates = cardinality.estimate_with_stats(
             plan, scan_rows, stats, provenance=provenance
         )
-        costs = plan_costs(plan, estimates, self.indexed_keys(txn, plan))
+        costs = self._context.cost_model.operator_costs(plan, estimates)
         return estimates, provenance, costs
 
     # -- index pruning --------------------------------------------------------

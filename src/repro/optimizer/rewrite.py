@@ -16,7 +16,8 @@ applies, in order:
    and repeatedly attach the connected leaf minimizing the estimated
    join output.
 3. **Algorithm choice** — replace each join's ``hash`` default with the
-   cheapest member of the zoo under the cost model, considering
+   cheapest member of the zoo under the cost model
+   (:class:`~repro.dcp.costmodel.CostModel`), considering
    ``index_nl`` only when a catalog index exists on the right key.
 
 Reordering and algorithm choice change row *order* (every algorithm is
@@ -31,7 +32,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.config import OptimizerConfig
-from repro.engine.explain import DEFAULT_SELECTIVITY
+from repro.dcp.costmodel import CostModel
 from repro.engine.planner import (
     Join,
     Plan,
@@ -40,7 +41,6 @@ from repro.engine.planner import (
     tables_of,
 )
 from repro.optimizer import cardinality
-from repro.optimizer.cost import choose_join_algorithm
 from repro.optimizer.statistics import TableStatistics
 
 
@@ -68,6 +68,7 @@ def rewrite_plan(
     stats_by_table: Dict[str, TableStatistics],
     indexed_keys: Set[Tuple[str, str]],
     config: OptimizerConfig,
+    cost_model: CostModel,
 ) -> Tuple[Plan, RewriteInfo]:
     """Apply the cost-based rewrites; see the module docstring."""
     info = RewriteInfo()
@@ -81,7 +82,9 @@ def rewrite_plan(
     plan = _propagate_equalities(plan, columns, info)
     if config.join_reordering:
         plan = _reorder_joins(plan, stats_by_table, info)
-    plan = _choose_algorithms(plan, stats_by_table, indexed_keys, info)
+    plan = _choose_algorithms(
+        plan, stats_by_table, indexed_keys, cost_model, info
+    )
     return plan, info
 
 
@@ -266,7 +269,7 @@ def _greedy_order(
         if stats is None:
             return None, False
         leaf_est[id(leaf)] = cardinality.scan_estimate(
-            leaf, stats, DEFAULT_SELECTIVITY
+            leaf, stats, cardinality.DEFAULT_SELECTIVITY
         )
     # Which leaf owns which condition columns (column names are unique
     # across tables, enforced by the binder).
@@ -347,6 +350,7 @@ def _choose_algorithms(
     plan: Plan,
     stats_by_table: Dict[str, TableStatistics],
     indexed_keys: Set[Tuple[str, str]],
+    cost_model: CostModel,
     info: RewriteInfo,
 ) -> Plan:
     """Bottom-up, pick the cheapest algorithm for every join."""
@@ -363,7 +367,7 @@ def _choose_algorithms(
                 and isinstance(node.right, TableScan)
                 and (node.right.table, node.right_keys[0]) in indexed_keys
             )
-            algorithm, _ = choose_join_algorithm(
+            algorithm, _ = cost_model.choose_join_algorithm(
                 float(estimates.get(id(node.left), 0)),
                 float(estimates.get(id(node.right), 0)),
                 float(estimates.get(id(node), 0)),

@@ -119,8 +119,7 @@ class SystemTaskOrchestrator:
         keeps the trigger armed for the next commit).
         """
         config = self._context.config.optimizer
-        optimizer = self._context.optimizer
-        if config.auto_analyze_rows <= 0 or optimizer is None:
+        if config.auto_analyze_rows <= 0:
             return
         churn = int(payload.get("rows_inserted", 0)) + int(
             payload.get("rows_deleted", 0)
@@ -146,7 +145,7 @@ class SystemTaskOrchestrator:
         analyze_txn = PolarisTransaction(self._context)
         with tel.span("sto.analyze", "sto", table_id=table_id):
             try:
-                optimizer.analyze_table(
+                self._context.optimizer.analyze_table(
                     analyze_txn, table["name"], source=SOURCE_AUTO
                 )
                 analyze_txn.commit()
@@ -168,8 +167,7 @@ class SystemTaskOrchestrator:
         uncovered files are always scanned — and the next commit or
         compaction retries).
         """
-        optimizer = self._context.optimizer
-        if optimizer is None or not self._context.config.optimizer.enabled:
+        if not self._context.config.optimizer.enabled:
             return
         # Cheap existence probe first: a plain catalog read, so tables
         # without indexes (the common case) cost no FE transaction.
@@ -186,7 +184,9 @@ class SystemTaskOrchestrator:
         tel = self._context.telemetry
         with tel.span("sto.index_refresh", "sto", table_id=table_id):
             try:
-                rebuilt = optimizer.refresh_indexes(txn, table_id)
+                rebuilt = self._context.optimizer.refresh_indexes(
+                    txn, table_id
+                )
                 txn.commit()
             except WriteConflictError:
                 txn.rollback()

@@ -815,11 +815,7 @@ class Introspector:
         optimizer = self._context.optimizer
         rows = []
         for row in index_rows:
-            usage = (
-                optimizer.index_usage(row["table_id"], row["index_name"])
-                if optimizer is not None
-                else {"lookups": 0, "files_pruned": 0}
-            )
+            usage = optimizer.index_usage(row["table_id"], row["index_name"])
             rows.append(
                 {
                     "table_id": row["table_id"],

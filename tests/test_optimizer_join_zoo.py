@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from repro import Schema, Warehouse
+from repro.common.config import DcpConfig, StorageConfig
+from repro.dcp.costmodel import HASH_SPILL_ROWS, CostModel
 from repro.engine import operators
 from repro.engine.batch import num_rows
 from repro.engine.explain import JOIN_ALGORITHM_LABELS
 from repro.engine.operators import JOIN_ALGORITHMS
-from repro.optimizer.cost import (
-    HASH_SPILL_ROWS,
-    choose_join_algorithm,
-    join_algorithm_cost,
-)
 from repro.workloads.tpch import TPCH_SQL_QUERIES, TpchGenerator
 from repro.workloads.tpch.schema import TPCH_DISTRIBUTION, TPCH_SCHEMAS
 from tests.conftest import small_config
@@ -89,20 +86,23 @@ class TestAlgorithmEquivalence:
         assert canonical(candidate) == canonical(reference)
 
 
+MODEL = CostModel(DcpConfig(), StorageConfig())
+
+
 class TestCostModel:
     def test_every_algorithm_is_priced(self):
         for algorithm in JOIN_ALGORITHMS:
-            cost = join_algorithm_cost(algorithm, 1000.0, 1000.0, 500.0)
+            cost = MODEL.join_cost(algorithm, 1000.0, 1000.0, 500.0)
             assert cost > 0.0
 
     def test_unknown_algorithm_raises(self):
         from repro.common.errors import PlanError
 
         with pytest.raises(PlanError):
-            join_algorithm_cost("merge_hash", 1.0, 1.0, 1.0)
+            MODEL.join_cost("merge_hash", 1.0, 1.0, 1.0)
 
     def test_tiny_build_side_prefers_block_nl(self):
-        algorithm, _ = choose_join_algorithm(
+        algorithm, _ = MODEL.choose_join_algorithm(
             1000.0, 2.0, 1000.0, right_index=False
         )
         assert algorithm == "block_nl"
@@ -111,24 +111,24 @@ class TestCostModel:
         # Just past the spill threshold the hash join pays the re-read
         # penalty while n·log2(n) is still cheap: sort-merge wins there.
         big = float(HASH_SPILL_ROWS) * 1.5
-        spilled = join_algorithm_cost("hash", big, big, big)
-        sorted_cost = join_algorithm_cost("sort_merge", big, big, big)
+        spilled = MODEL.join_cost("hash", big, big, big)
+        sorted_cost = MODEL.join_cost("sort_merge", big, big, big)
         assert sorted_cost < spilled
-        algorithm, _ = choose_join_algorithm(big, big, big, right_index=False)
+        algorithm, _ = MODEL.choose_join_algorithm(big, big, big, right_index=False)
         assert algorithm == "sort_merge"
 
     def test_index_nl_needs_an_index(self):
         # A tiny probe side over a huge indexed build side: index_nl wins,
         # but only when the catalog actually has the index.
         args = (10.0, 1.0e6, 10.0)
-        with_index, _ = choose_join_algorithm(*args, right_index=True)
-        without, _ = choose_join_algorithm(*args, right_index=False)
+        with_index, _ = MODEL.choose_join_algorithm(*args, right_index=True)
+        without, _ = MODEL.choose_join_algorithm(*args, right_index=False)
         assert with_index == "index_nl"
         assert without != "index_nl"
 
     def test_choice_is_deterministic(self):
         picks = {
-            choose_join_algorithm(500.0, 500.0, 400.0, right_index=True)
+            MODEL.choose_join_algorithm(500.0, 500.0, 400.0, right_index=True)
             for _ in range(10)
         }
         assert len(picks) == 1

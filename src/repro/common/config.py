@@ -98,16 +98,10 @@ class TelemetryConfig:
     enabled: bool = False
     #: Keep the metrics registry recording (independent of tracing).
     metrics: bool = True
-    #: Record one span per object-store request (can be voluminous).
-    capture_storage_spans: bool = True
-    #: Mirror every EventBus event into the active span / metrics.
-    capture_bus_events: bool = True
     #: Hard cap on retained finished spans (overflow counts as dropped).
     max_spans: int = 250_000
     #: Reservoir size per histogram (percentiles are exact below this).
     histogram_max_samples: int = 4096
-    #: SQL statement text is truncated to this many chars in span attrs.
-    sql_text_limit: int = 200
     #: Metrics time-series sampling interval in simulated seconds.  0 (the
     #: default) disables the sampler entirely: no ring buffer is allocated
     #: and no clock watcher is armed.
@@ -173,8 +167,6 @@ class ServiceConfig:
     retry_after_base_s: float = 1.0
     #: Jitter fraction applied to retry-after hints (0 = none, 0.5 = ±50%).
     retry_after_jitter: float = 0.25
-    #: Simulated think time the dispatcher spends between dispatches.
-    dispatch_interval_s: float = 0.001
     #: Finished request records retained by the gateway ledger.
     finished_history_cap: int = 2048
 
@@ -192,8 +184,6 @@ class OptimizerConfig:
     #: Master switch for cost-based plan rewrites (reordering, algorithm
     #: choice, transitive predicate pushdown, index pruning).
     enabled: bool = True
-    #: Buckets per equi-depth histogram collected by ANALYZE.
-    histogram_buckets: int = 8
     #: A query-store operator misestimate (max(est,actual)/min(est,actual))
     #: at or above this ratio feeds back into the next ANALYZE as a
     #: per-table correction factor.
@@ -201,8 +191,6 @@ class OptimizerConfig:
     #: STO auto-analyze: re-collect a table's statistics once this many
     #: rows were ingested since the last ANALYZE.  0 disables the job.
     auto_analyze_rows: int = 0
-    #: Allow the optimizer to swap join inputs / reorder join chains.
-    join_reordering: bool = True
     #: Allow equality conjuncts to prune data files through secondary
     #: indexes (beyond zone maps).
     index_pruning: bool = True
@@ -319,8 +307,6 @@ class PolarisConfig:
             raise ValueError("service.retry_after_jitter must be in [0, 1]")
         if self.service.finished_history_cap <= 0:
             raise ValueError("service.finished_history_cap must be positive")
-        if self.optimizer.histogram_buckets < 1:
-            raise ValueError("optimizer.histogram_buckets must be >= 1")
         if self.optimizer.misestimate_threshold < 1.0:
             raise ValueError("optimizer.misestimate_threshold must be >= 1")
         if self.optimizer.auto_analyze_rows < 0:

@@ -26,7 +26,7 @@ from repro.common.errors import PolarisError
 from repro.engine.batch import Batch
 from repro.fe.context import ServiceContext
 from repro.fe.transaction import PolarisTransaction
-from repro.fe.write_path import _load_dv, _open_data_file
+from repro.fe.read_path import read_file
 
 
 class UniqueConstraintViolation(PolarisError):
@@ -59,15 +59,11 @@ def check_unique(
     incoming: Set[Any] = set(values.tolist())
     lo, hi = values.min(), values.max()
     snapshot = txn.table_snapshot(table_row["table_id"])
+    overlap = ((column, ">=", lo), (column, "<=", hi))
     for info in snapshot.files.values():
-        bounds = info.stats_for(column)
-        if bounds is not None and (bounds[1] < lo or bounds[0] > hi):
+        if not info.may_match(overlap):
             continue  # zone maps prove no overlap
-        reader = _open_data_file(context, info)
-        existing = reader.read(
-            columns=[column],
-            deletion_vector=_load_dv(context, snapshot.dv_for(info.name)),
-        )[column]
+        existing = read_file(context, snapshot, info, columns=[column])[column]
         clash = incoming.intersection(existing.tolist())
         if clash:
             sample = sorted(clash)[:3]

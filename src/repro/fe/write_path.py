@@ -25,16 +25,16 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.common.errors import SchemaMismatchError
-from repro.dcp.cells import cells_for_snapshot, distribution_of
+from repro.dcp.cells import Cell, distribution_of
 from repro.dcp.channels import estimate_batch_bytes
 from repro.dcp.dag import WorkflowDag
 from repro.dcp.tasks import Task, TaskContext
-from repro.engine.batch import Batch, num_rows
+from repro.engine.batch import Batch, concat_batches, num_rows
 from repro.engine.expressions import Expr, evaluate
 from repro.engine.zorder import zorder_permutation
 from repro.fe.catalog import table_schema
 from repro.fe.context import ServiceContext
+from repro.fe.read_path import load_dv, open_data_file, run_per_cell
 from repro.fe.transaction import PolarisTransaction
 from repro.lst.actions import (
     Action,
@@ -47,11 +47,10 @@ from repro.lst.actions import (
 from repro.lst.manifest import encode_actions
 from repro.pagefile.deletion_vector import DeletionVector
 from repro.pagefile.file_format import write_page_file
-from repro.pagefile.reader import PageFileReader
 from repro.pagefile.schema import Schema
 from repro.pagefile.stats import compute_stats
 from repro.storage import paths
-from repro.storage.integrity import CHECKSUM_KEY, verify_checksum
+from repro.storage.integrity import CHECKSUM_KEY
 
 
 # -- shared helpers -------------------------------------------------------------
@@ -140,33 +139,6 @@ def _write_dv_file(
     )
 
 
-def _open_data_file(context: ServiceContext, info: DataFileInfo) -> PageFileReader:
-    """Open one data file with both verification layers applied.
-
-    The store's ``get`` verifies the blob against its own metadata
-    checksum; the cross-check here verifies against the manifest's
-    mirrored checksum (catching a swapped blob whose metadata was
-    rewritten); and the reader gets the blob path so format errors are
-    self-describing.
-    """
-    blob = context.store.get(info.path)
-    verify_checksum(info.path, blob.data, info.checksum, telemetry=context.telemetry)
-    return PageFileReader(blob.data, source=info.path)
-
-
-def _load_dv(
-    context: ServiceContext, info: Optional[DeletionVectorInfo]
-) -> Optional[DeletionVector]:
-    if info is None:
-        return None
-    blob = context.store.get(info.path)
-    # Cross-check against the manifest's mirrored checksum: the store's own
-    # metadata already verified, but a swapped blob would pass that and
-    # fail here.
-    verify_checksum(info.path, blob.data, info.checksum, telemetry=context.telemetry)
-    return DeletionVector.from_bytes(blob.data)
-
-
 def _resize_write_pool(context: ServiceContext, rows: int, source_files: int) -> None:
     if context.elastic:
         context.wlm.resize_pool(
@@ -175,12 +147,9 @@ def _resize_write_pool(context: ServiceContext, rows: int, source_files: int) ->
 
 
 def _validate_batch(schema: Schema, batch: Batch) -> int:
-    try:
-        return schema.validate_columns(
-            {name: np.asarray(values) for name, values in batch.items()}
-        )
-    except SchemaMismatchError:
-        raise
+    return schema.validate_columns(
+        {name: np.asarray(values) for name, values in batch.items()}
+    )
 
 
 # -- insert ----------------------------------------------------------------------
@@ -343,94 +312,66 @@ def _execute_mutation(
     table_id = table_row["table_id"]
     schema = table_schema(table_row)
     snapshot = txn.table_snapshot(table_id)
-    cells = [
-        cell
-        for cell in cells_for_snapshot(table_id, snapshot, context.config.distributions)
-        if cell.files
-    ]
-    if not cells:
-        return 0, 0
-    dag = WorkflowDag()
     prune_list = list(prune)
 
-    for cell in cells:
-
-        def mutate_cell(
-            ctx: TaskContext, cell=cell
-        ) -> Tuple[List[str], List[Action], int, List[str]]:
-            actions: List[Action] = []
-            touched: List[str] = []
-            matched_rows: List[Batch] = []
-            n_matched = 0
-            for info in cell.files:
-                if prune_list and not info.may_match(tuple(prune_list)):
-                    continue
-                reader = _open_data_file(context, info)
-                existing_info = snapshot.dv_for(info.name)
-                existing_dv = _load_dv(context, existing_info)
-                batch = reader.read(
-                    prune=prune_list or None,
-                    deletion_vector=existing_dv,
-                    with_positions=True,
-                )
-                if num_rows(batch) == 0:
-                    continue
-                match = evaluate(predicate, batch).astype(bool)
-                if not match.any():
-                    continue
-                positions = batch["__pos__"][match]
-                new_dv = DeletionVector(positions.tolist())
-                if existing_dv is not None:
-                    new_dv = existing_dv.union(new_dv)
-                dv_info = _write_dv_file(context, txn, table_id, info.name, new_dv)
-                if existing_info is not None:
-                    actions.append(RemoveDeletionVector(existing_info))
-                actions.append(AddDeletionVector(dv_info))
-                touched.append(info.name)
-                n_matched += int(match.sum())
-                if assignments is not None:
-                    kept = {
-                        name: values[match]
-                        for name, values in batch.items()
-                        if name != "__pos__"
-                    }
-                    matched_rows.append(kept)
-            if assignments is not None and matched_rows:
-                updated = _apply_assignments(matched_rows, assignments, schema)
-                info = _write_data_file(
-                    context, txn, table_id, schema, updated, cell.distribution,
-                    sort_column=table_row.get("sort_column"),
-                )
-                actions.append(AddDataFile(info))
-            if not actions:
-                return [], [], 0, []
-            writer = txn.manifest_writer(table_id)
-            block_id = writer.write_block(encode_actions(actions))
-            return [block_id], actions, n_matched, touched
-
-        dag.add_task(
-            Task(
-                task_id=f"mutate:{table_id}:{cell.distribution:04d}",
-                fn=mutate_cell,
-                est_rows=cell.num_rows,
-                est_files=len(cell.files),
-                est_bytes=cell.total_bytes,
-                pool="write",
+    def mutate_cell(cell: Cell) -> Tuple[List[str], List[Action], int, List[str]]:
+        actions: List[Action] = []
+        touched: List[str] = []
+        matched_rows: List[Batch] = []
+        n_matched = 0
+        for info in cell.files:
+            if prune_list and not info.may_match(tuple(prune_list)):
+                continue
+            # The task opens the file and its DV itself (rather than
+            # through read_file): the new DV is the union with the old.
+            reader = open_data_file(context, info)
+            existing_info = snapshot.dv_for(info.name)
+            existing_dv = load_dv(context, existing_info)
+            batch = reader.read(
+                prune=prune_list or None,
+                deletion_vector=existing_dv,
+                with_positions=True,
             )
-        )
+            if num_rows(batch) == 0:
+                continue
+            match = evaluate(predicate, batch).astype(bool)
+            if not match.any():
+                continue
+            positions = batch["__pos__"][match]
+            new_dv = DeletionVector(positions.tolist())
+            if existing_dv is not None:
+                new_dv = existing_dv.union(new_dv)
+            dv_info = _write_dv_file(context, txn, table_id, info.name, new_dv)
+            if existing_info is not None:
+                actions.append(RemoveDeletionVector(existing_info))
+            actions.append(AddDeletionVector(dv_info))
+            touched.append(info.name)
+            n_matched += int(match.sum())
+            if assignments is not None:
+                kept = {
+                    name: values[match]
+                    for name, values in batch.items()
+                    if name != "__pos__"
+                }
+                matched_rows.append(kept)
+        if assignments is not None and matched_rows:
+            updated = _apply_assignments(matched_rows, assignments, schema)
+            info = _write_data_file(
+                context, txn, table_id, schema, updated, cell.distribution,
+                sort_column=table_row.get("sort_column"),
+            )
+            actions.append(AddDataFile(info))
+        if not actions:
+            return [], [], 0, []
+        writer = txn.manifest_writer(table_id)
+        block_id = writer.write_block(encode_actions(actions))
+        return [block_id], actions, n_matched, touched
 
-    if context.elastic:
-        total_rows = sum(cell.num_rows for cell in cells)
-        context.wlm.resize_pool(
-            "write", context.autoscaler.nodes_for_query(total_rows)
-        )
-    result = context.scheduler.execute(dag, wlm=context.wlm)
-
+    results = run_per_cell(context, table_id, snapshot, "mutate", "write", mutate_cell)
     new_actions: List[Action] = []
     touched_all: List[str] = []
     total_matched = 0
-    for task_id in sorted(result.results):
-        __, actions, matched, touched = result.results[task_id]
+    for __, actions, matched, touched in results:
         new_actions.extend(actions)
         touched_all.extend(touched)
         total_matched += matched
@@ -447,8 +388,6 @@ def _execute_mutation(
 def _apply_assignments(
     matched_rows: List[Batch], assignments: Dict[str, Expr], schema: Schema
 ) -> Batch:
-    from repro.engine.batch import concat_batches
-
     merged = concat_batches(matched_rows)
     out: Batch = {}
     for fld in schema:

@@ -73,6 +73,22 @@ class TableSnapshot:
         """The deletion vector currently attached to ``file_name``."""
         return self.dvs.get(file_name)
 
+    def restricted_to(self, names: Iterable[str]) -> "TableSnapshot":
+        """A view keeping only the files named in ``names`` and their DVs.
+
+        Returns the receiver itself when no file is dropped.
+        """
+        names = set(names)
+        files = {name: info for name, info in self.files.items() if name in names}
+        if len(files) == len(self.files):
+            return self
+        return TableSnapshot(
+            sequence_id=self.sequence_id,
+            files=files,
+            dvs={name: dv for name, dv in self.dvs.items() if name in files},
+            tombstones=self.tombstones,
+        )
+
     # -- replay ---------------------------------------------------------------
 
     def apply_manifest(

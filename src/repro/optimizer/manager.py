@@ -22,11 +22,12 @@ correction factor into the new statistics.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Set, Tuple
 
 import numpy as np
 
 from repro.common.errors import CatalogError
+from repro.engine.batch import Batch, concat_batches, empty_batch
 from repro.engine.planner import Plan, tables_of
 from repro.lst.snapshot import TableSnapshot
 from repro.optimizer import cardinality
@@ -44,6 +45,9 @@ from repro.storage.paths import index_file_path
 if TYPE_CHECKING:
     from repro.fe.context import ServiceContext
     from repro.fe.transaction import PolarisTransaction
+
+#: Buckets per equi-depth histogram collected by ANALYZE.
+HISTOGRAM_BUCKETS = 8
 
 
 class QueryOptimizer:
@@ -88,7 +92,7 @@ class QueryOptimizer:
             sequence_id=snapshot.sequence_id,
             schema=schema,
             columns=columns,
-            buckets=self._config.histogram_buckets,
+            buckets=HISTOGRAM_BUCKETS,
             analyzed_at=self._context.clock.now,
             source=source,
             feedback_factor=self._feedback_factor(table_name),
@@ -333,19 +337,7 @@ class QueryOptimizer:
                     tel.metrics.counter("optimizer.index.files_pruned").inc(
                         len(pruned)
                     )
-        if not drop:
-            return snapshot
-        kept = {
-            name: info
-            for name, info in snapshot.files.items()
-            if name not in drop
-        }
-        return TableSnapshot(
-            sequence_id=snapshot.sequence_id,
-            files=kept,
-            dvs={n: dv for n, dv in snapshot.dvs.items() if n in kept},
-            tombstones=snapshot.tombstones,
-        )
+        return snapshot.restricted_to(set(snapshot.files) - drop)
 
     def _load_index(self, row: Dict[str, Any]) -> SortedRunIndex:
         """Load (and cache) one index file; the store charges the IO."""
@@ -372,29 +364,31 @@ class QueryOptimizer:
 
     # -- snapshot scanning ----------------------------------------------------
 
+    def _read_files(
+        self, columns: List[str], snapshot: TableSnapshot
+    ) -> List[Tuple[str, Batch]]:
+        """Each live file's rows (files in name order), charging the clock
+        one task over the whole snapshot."""
+        from repro.fe.read_path import read_file
+
+        batches = [
+            (name, read_file(self._context, snapshot, info, columns=list(columns)))
+            for name, info in sorted(snapshot.files.items())
+        ]
+        self._context.clock.advance(
+            self._context.cost_model.task_duration(
+                sum(info.num_rows for info in snapshot.files.values()),
+                len(snapshot.files),
+                snapshot.total_bytes,
+            )
+        )
+        return batches
+
     def _materialize(
         self, columns: List[str], snapshot: TableSnapshot
     ) -> Dict[str, np.ndarray]:
         """Read a snapshot's live rows (files in name order), charging IO."""
-        from repro.engine.batch import concat_batches, empty_batch
-        from repro.fe.write_path import _load_dv, _open_data_file
-
-        parts = []
-        total_rows = 0
-        total_bytes = 0
-        for name in sorted(snapshot.files):
-            info = snapshot.files[name]
-            reader = _open_data_file(self._context, info)
-            dv = _load_dv(self._context, snapshot.dv_for(name))
-            batch = reader.read(columns=list(columns), deletion_vector=dv)
-            parts.append(batch)
-            total_rows += info.num_rows
-            total_bytes += info.size_bytes
-        self._context.clock.advance(
-            self._context.cost_model.task_duration(
-                total_rows, len(snapshot.files), total_bytes
-            )
-        )
+        parts = [batch for _, batch in self._read_files(columns, snapshot)]
         if not parts:
             return empty_batch(tuple(columns))
         return concat_batches(parts)
@@ -403,26 +397,12 @@ class QueryOptimizer:
         self, column: str, snapshot: TableSnapshot
     ) -> List[Tuple[Any, str]]:
         """Distinct (key, file) pairs across a snapshot's live rows."""
-        from repro.fe.write_path import _load_dv, _open_data_file
-
         pairs: Set[Tuple[Any, str]] = set()
-        total_rows = 0
-        total_bytes = 0
-        for name in sorted(snapshot.files):
-            info = snapshot.files[name]
-            reader = _open_data_file(self._context, info)
-            dv = _load_dv(self._context, snapshot.dv_for(name))
-            values = reader.read(columns=[column], deletion_vector=dv)[column]
+        for name, batch in self._read_files([column], snapshot):
+            values = batch[column]
             for value in np.unique(values) if values.dtype.kind != "O" else set(
                 values
             ):
                 key = value.item() if isinstance(value, np.generic) else value
                 pairs.add((key, name))
-            total_rows += info.num_rows
-            total_bytes += info.size_bytes
-        self._context.clock.advance(
-            self._context.cost_model.task_duration(
-                total_rows, len(snapshot.files), total_bytes
-            )
-        )
         return sorted(pairs)

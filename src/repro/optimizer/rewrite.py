@@ -80,8 +80,7 @@ def rewrite_plan(
     info.applied = True
     columns = cardinality.column_map(stats_by_table)
     plan = _propagate_equalities(plan, columns, info)
-    if config.join_reordering:
-        plan = _reorder_joins(plan, stats_by_table, info)
+    plan = _reorder_joins(plan, stats_by_table, info)
     plan = _choose_algorithms(
         plan, stats_by_table, indexed_keys, cost_model, info
     )

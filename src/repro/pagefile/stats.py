@@ -39,6 +39,12 @@ class ColumnStats:
         """
         if self.minimum is None or self.maximum is None:
             return True
+        # NaN (the engine's null) poisons a float column's min/max and
+        # compares false with everything, so it proves nothing either way.
+        if self.minimum != self.minimum or self.maximum != self.maximum:
+            return True
+        if literal != literal:
+            return True
         if op == "==":
             return self.minimum <= literal <= self.maximum
         if op == "<":

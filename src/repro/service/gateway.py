@@ -56,6 +56,9 @@ RequestWork = Union[str, Callable[["Session"], Any]]
 #: Dispatcher sleep while both class queues are empty (simulated seconds).
 IDLE_POLL_S = 0.01
 
+#: Simulated think time the dispatcher spends between dispatches.
+DISPATCH_INTERVAL_S = 0.001
+
 
 class Request:
     """One submitted request's full life-cycle record (``sys.dm_requests``)."""
@@ -283,7 +286,7 @@ class Gateway:
                 yield IDLE_POLL_S
                 continue
             self._execute(request)
-            yield self._config.dispatch_interval_s
+            yield DISPATCH_INTERVAL_S
 
     def _execute(self, request: Request) -> None:
         """Run one admitted request on a pooled session and account it."""

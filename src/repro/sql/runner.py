@@ -27,6 +27,7 @@ from repro.sql.ast_nodes import (
 from repro.sql.binder import Binder
 from repro.sql.lexer import SqlSyntaxError
 from repro.sql.parser import parse
+from repro.telemetry.querystore import SQL_TEXT_LIMIT
 
 
 class SqlSession:
@@ -76,7 +77,7 @@ class SqlSession:
                 if not tel.tracing:
                     result = self._dispatch(statement, pending)
                 else:
-                    clipped = text.strip()[: tel.config.sql_text_limit]
+                    clipped = text.strip()[:SQL_TEXT_LIMIT]
                     with tel.span("sql." + kind, "sql", sql=clipped):
                         result = self._dispatch(statement, pending)
                 # CREATE TABLE returns a table id, BEGIN/COMMIT return None

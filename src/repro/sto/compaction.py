@@ -25,7 +25,8 @@ from repro.engine.statistics import file_health
 from repro.fe.catalog import table_schema
 from repro.fe.context import ServiceContext
 from repro.fe.transaction import PolarisTransaction
-from repro.fe.write_path import _load_dv, _open_data_file, _write_data_file
+from repro.fe.read_path import read_file
+from repro.fe.write_path import _write_data_file
 from repro.lst.actions import Action, AddDataFile, RemoveDataFile
 from repro.lst.manifest import encode_actions
 from repro.sqldb import system_tables as catalog
@@ -107,9 +108,7 @@ def _compact_in_txn(
             actions: List[Action] = []
             parts: List[Batch] = []
             for info in infos:
-                reader = _open_data_file(context, info)
-                dv = _load_dv(context, snapshot.dv_for(info.name))
-                live = reader.read(deletion_vector=dv)
+                live = read_file(context, snapshot, info)
                 if num_rows(live):
                     parts.append(live)
                 actions.append(RemoveDataFile(info))

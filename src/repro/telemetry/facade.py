@@ -176,7 +176,7 @@ class Telemetry:
             metrics.histogram("storage.request_latency_s", op=operation).observe(
                 cost
             )
-        if self.tracing and self.config.capture_storage_spans:
+        if self.tracing:
             start, end = self.tracer.child_window(cost)
             span = self.tracer.start_span(
                 "store." + operation,
@@ -275,7 +275,7 @@ class Telemetry:
 
     def attach_bus(self, bus: EventBus) -> None:
         """Subscribe to every bus topic (wildcard) to mirror events."""
-        if self._bus is not None or not self.config.capture_bus_events:
+        if self._bus is not None:
             return
         if not (self.metering or self.tracing):
             return

@@ -52,6 +52,10 @@ if TYPE_CHECKING:
 #: unlike Python's ``hash``).
 HASH_LENGTH = 16
 
+#: SQL text is truncated to this many characters where it is shown (span
+#: attributes, ``sys.dm_exec_query_stats.query_text``).
+SQL_TEXT_LIMIT = 200
+
 #: Single-quoted string literals inside rendered plan text.
 _PLAN_STRING_RE = re.compile(r"'[^']*'")
 
@@ -485,7 +489,6 @@ class QueryStore:
     def query_stats_rows(self) -> List[Dict[str, Any]]:
         """``sys.dm_exec_query_stats`` rows, one per fingerprint."""
         rows = []
-        limit = self._config.sql_text_limit
         for profile in self.profiles():
             summary = profile.latency.summary()
             tenants = sorted({t for t, _ in profile.attribution if t})
@@ -494,7 +497,7 @@ class QueryStore:
                 {
                     "query_hash": profile.query_hash,
                     "statement_kind": profile.statement_kind,
-                    "query_text": profile.normalized_text[:limit],
+                    "query_text": profile.normalized_text[:SQL_TEXT_LIMIT],
                     "executions": profile.executions,
                     "errors": profile.errors,
                     "total_rows": profile.total_rows,

@@ -56,6 +56,16 @@ class TestUniqueEnforcement:
         session.insert("t", ids([3]))  # key freed by the delete
         assert session.table_snapshot("t").live_rows == 10
 
+    def test_nan_in_float_keys_does_not_hide_duplicates(self, dw):
+        s = dw.session()
+        s.create_table(
+            "f", Schema.of(("id", "int64"), ("v", "float64")),
+            distribution_column="id", unique_column="v",
+        )
+        s.insert("f", {"id": np.array([1, 2]), "v": np.array([1.0, np.nan])})
+        with pytest.raises(UniqueConstraintViolation, match="already exist"):
+            s.insert("f", {"id": np.array([3, 4]), "v": np.array([np.nan, 1.0])})
+
     def test_check_sees_same_transaction_inserts(self, session):
         session.begin()
         session.insert("t", ids([1]))

@@ -52,6 +52,28 @@ class TestFileStats:
         assert info.may_match((("id", "==", 10),))
         assert info.may_match((("other", "==", 1),))  # unknown col: keep
 
+    def test_nan_bounds_or_literal_prove_nothing(self):
+        info = DataFileInfo(
+            name="f", path="p/f", num_rows=10, size_bytes=80, distribution=0,
+            column_stats=(("v", float("nan"), float("nan")), ("id", 10, 20)),
+        )
+        assert info.may_match((("v", ">", 1.0),))
+        assert info.may_match((("v", "==", 1.0),))
+        assert info.may_match((("id", ">=", float("nan")),))
+
+    def test_file_holding_nan_is_not_pruned(self):
+        config = small_config()
+        config.distributions = 1
+        session = Warehouse(config=config, auto_optimize=False).session()
+        session.create_table("t", Schema.of(("id", "int64"), ("v", "float64")))
+        session.insert("t", {"id": np.array([1, 2], dtype=np.int64),
+                             "v": np.array([np.nan, 5.0])})
+        out = session.query(TableScan(
+            "t", ("id", "v"), predicate=BinOp(">", Col("v"), Lit(1.0)),
+            prune=(("v", ">", 1.0),),
+        ))
+        assert out["id"].tolist() == [2]
+
     def test_backwards_compatible_parse(self):
         raw = {"name": "f", "path": "p/f", "num_rows": 1, "size_bytes": 8,
                "distribution": 0}

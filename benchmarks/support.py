@@ -43,7 +43,7 @@ _SUMMARY_FIELDS = (
 #: Set by :func:`bench_main` when ``--trace`` / ``--metrics`` are given;
 #: :func:`bench_config` reads it so every warehouse a benchmark creates is
 #: instrumented without the benchmark knowing about telemetry.
-_SCRIPT_TELEMETRY = {"trace": False, "metrics": False}
+_SCRIPT_TELEMETRY = {"trace": False}
 
 
 def run_once(benchmark, fn):
@@ -77,8 +77,6 @@ def bench_config(**overrides) -> PolarisConfig:
     config.sto.poll_interval_s = 60.0
     if _SCRIPT_TELEMETRY["trace"]:
         config.telemetry.enabled = True
-    if _SCRIPT_TELEMETRY["metrics"]:
-        config.telemetry.metrics = True
     for key, value in overrides.items():
         section, __, attr = key.partition("__")
         if attr:
@@ -155,11 +153,7 @@ def bench_main(*bench_fns, report_file: str = "BENCH_observability.json") -> Non
         with open(args.trace, "w", encoding="utf-8"):
             pass
     _SCRIPT_TELEMETRY["trace"] = args.trace is not None
-    # The report's byte/request totals come from the metrics registry, so
-    # --report implies metering (printing still requires --metrics).
-    _SCRIPT_TELEMETRY["metrics"] = args.metrics or args.report
-
-    instrumented = args.trace is not None or _SCRIPT_TELEMETRY["metrics"]
+    instrumented = args.trace is not None or args.metrics or args.report
     if instrumented:
         # The trace/metrics/report outputs enumerate weakly-registered
         # telemetry and introspector instances after the workloads ran.

@@ -861,10 +861,9 @@ def run_longevity(
     # without new faults being injected into its own reads.
     warehouse.context.store.faults.quiesce()
     telemetry = warehouse.context.telemetry
-    if telemetry.metering:
-        result.faults_injected = int(
-            sum(telemetry.metrics.values("storage.faults_injected").values())
-        )
+    result.faults_injected = int(
+        sum(telemetry.metrics.values("storage.faults_injected").values())
+    )
     __, problems = _observed_counts(warehouse.context)
     result.problems.extend(problems)
     result.problems.extend(_check_gc_safety(warehouse))

@@ -149,30 +149,21 @@ class RecoveryManager:
             crashpoint("recovery.waits.after_scavenge")
             if self._sto is not None:
                 self._sto.rebind(context)
-        if tel.metering:
-            metrics = tel.metrics
-            metrics.counter("recovery.runs").inc()
-            metrics.counter("recovery.in_doubt_committed").inc(
-                report.in_doubt_committed
-            )
-            metrics.counter("recovery.in_doubt_aborted").inc(
-                report.in_doubt_aborted
-            )
-            metrics.counter("recovery.staged_blocks_discarded").inc(
-                report.staged_blocks_discarded
-            )
-            metrics.counter("recovery.publishes_completed").inc(
-                report.publishes_completed
-            )
-            metrics.counter("recovery.gateway_requests_scavenged").inc(
-                report.gateway_requests_scavenged
-            )
-            metrics.counter("recovery.querystore_discarded").inc(
-                report.querystore_profiles_discarded
-            )
-            metrics.counter("recovery.waits_discarded").inc(
-                report.open_waits_discarded
-            )
+        metrics = tel.metrics
+        metrics.counter("recovery.runs").inc()
+        metrics.counter("recovery.in_doubt_committed").inc(report.in_doubt_committed)
+        metrics.counter("recovery.in_doubt_aborted").inc(report.in_doubt_aborted)
+        metrics.counter("recovery.staged_blocks_discarded").inc(
+            report.staged_blocks_discarded
+        )
+        metrics.counter("recovery.publishes_completed").inc(report.publishes_completed)
+        metrics.counter("recovery.gateway_requests_scavenged").inc(
+            report.gateway_requests_scavenged
+        )
+        metrics.counter("recovery.querystore_discarded").inc(
+            report.querystore_profiles_discarded
+        )
+        metrics.counter("recovery.waits_discarded").inc(report.open_waits_discarded)
         context.bus.publish(
             "recovery.completed",
             in_doubt_committed=report.in_doubt_committed,

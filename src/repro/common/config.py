@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 
-@dataclass
+@dataclass(slots=True)
 class StorageConfig:
     """Latency/cost model of the simulated object store (OneLake/ADLS)."""
 
@@ -37,7 +37,7 @@ class StorageConfig:
     retry_jitter: float = 0.5
 
 
-@dataclass
+@dataclass(slots=True)
 class DcpConfig:
     """Cost model and scheduling parameters of the compute platform."""
 
@@ -63,7 +63,7 @@ class DcpConfig:
     task_failure_seed: int = 13
 
 
-@dataclass
+@dataclass(slots=True)
 class StoConfig:
     """Trigger thresholds for autonomous storage optimizations (Section 5)."""
 
@@ -83,21 +83,22 @@ class StoConfig:
     scrub_interval_s: float = 12 * 3600.0
 
 
-@dataclass
+@dataclass(slots=True)
 class TelemetryConfig:
     """End-to-end observability knobs (tracing, metrics, trace capture).
 
-    ``enabled`` turns on the hierarchical span tracer.  ``metrics`` keeps
-    the counters/gauges/histograms registry recording even when tracing is
-    off (cheap dict increments; the benchmarks read IO/latency totals from
-    it).  With both off the telemetry layer degrades to a handful of
-    attribute checks per operation — near-zero cost.
+    ``enabled`` turns on the hierarchical span tracer; with it off every
+    span call is a single attribute check.  The counters/gauges/histograms
+    registry always records (cheap dict increments; the benchmarks and the
+    ``sys.dm_*`` views read IO/latency totals from it).
+
+    Every config section is a slotted dataclass, so assigning a field that
+    does not exist (a misspelt knob) raises ``AttributeError`` instead of
+    being silently ignored.
     """
 
     #: Master switch for hierarchical span tracing.
     enabled: bool = False
-    #: Keep the metrics registry recording (independent of tracing).
-    metrics: bool = True
     #: Hard cap on retained finished spans (overflow counts as dropped).
     max_spans: int = 250_000
     #: Reservoir size per histogram (percentiles are exact below this).
@@ -134,7 +135,7 @@ class TelemetryConfig:
     wait_stats_enabled: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class ServiceConfig:
     """Multi-tenant gateway knobs (sessions, admission, load shedding).
 
@@ -171,7 +172,7 @@ class ServiceConfig:
     finished_history_cap: int = 2048
 
 
-@dataclass
+@dataclass(slots=True)
 class OptimizerConfig:
     """Cost-based optimizer knobs (statistics, indexes, join planning).
 
@@ -198,7 +199,7 @@ class OptimizerConfig:
     feedback_factor_cap: float = 1000.0
 
 
-@dataclass
+@dataclass(slots=True)
 class TransactionConfig:
     """Transaction-manager behaviour (Section 4)."""
 
@@ -218,7 +219,7 @@ class TransactionConfig:
     commit_hold_s: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class PolarisConfig:
     """Top-level configuration bundle for a warehouse instance."""
 

@@ -144,7 +144,7 @@ class Scheduler:
                 )
             raise
 
-        if tel is not None and tel.metering:
+        if tel is not None:
             tel.metrics.counter("dcp.dags").inc()
             tel.metrics.counter("dcp.task_retries").inc(total_retries)
             tel.metrics.histogram("dcp.dag_makespan_s").observe(
@@ -243,7 +243,7 @@ class Scheduler:
                 # must not strand the attempt span.
                 self._record_attempt(tel, span, start, "error", str(exc))
                 raise
-            if tel is not None and tel.metering:
+            if tel is not None:
                 tel.metrics.counter("dcp.tasks", pool=task.pool).inc()
                 tel.metrics.histogram("dcp.task_duration_s", pool=task.pool).observe(
                     duration
@@ -267,7 +267,7 @@ class Scheduler:
             return
         attributes = {} if error is None else {"error.message": error}
         tel.end_span(span, status=status, end_time=end_time, **attributes)
-        if status != "ok" and tel.metering:
+        if status != "ok":
             tel.metrics.counter("dcp.task_failures").inc()
 
     def _attempt_fails(self, task: Task, attempt: int) -> bool:

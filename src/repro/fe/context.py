@@ -9,7 +9,7 @@ every test hermetic — two warehouses never share state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
 from repro.common.clock import SimulatedClock
 from repro.common.config import PolarisConfig
@@ -22,6 +22,7 @@ from repro.dcp.wlm import WorkloadManager
 from repro.lst.cache import SnapshotCache
 from repro.sqldb.engine import SqlDbEngine
 from repro.storage.object_store import ObjectStore
+from repro.storage.retry import with_retries
 from repro.telemetry.facade import Telemetry
 from repro.telemetry.timeseries import MetricsSampler, Watchdog, default_rules
 
@@ -29,6 +30,8 @@ if TYPE_CHECKING:
     from repro.optimizer.manager import QueryOptimizer
     from repro.service.gateway import Gateway
     from repro.telemetry.introspection import Introspector
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -68,6 +71,19 @@ class ServiceContext:
     table_ids: MonotonicSequence = field(
         default_factory=lambda: MonotonicSequence(start=1001)
     )
+
+    def retry(self, label: str, operation: Callable[[], T]) -> T:
+        """Run one FE-side store operation under the deployment's retry
+        policy: seeded backoff charged to the clock, attempts recorded in
+        telemetry under ``label`` (see :func:`~repro.storage.retry.with_retries`)."""
+        return with_retries(
+            operation,
+            telemetry=self.telemetry,
+            label=label,
+            clock=self.clock,
+            config=self.config.storage,
+            seed=self.config.seed,
+        )
 
     @classmethod
     def create(
@@ -131,7 +147,7 @@ class ServiceContext:
             telemetry.querystore = QueryStore(
                 clock,
                 config.telemetry,
-                metrics=telemetry.metrics if telemetry.metering else None,
+                metrics=telemetry.metrics,
                 bus=bus,
                 seed=config.seed,
             )
@@ -141,7 +157,7 @@ class ServiceContext:
             telemetry.waits = WaitStats(
                 clock,
                 config.telemetry,
-                metrics=telemetry.metrics if telemetry.metering else None,
+                metrics=telemetry.metrics,
                 tracer=telemetry.tracer if telemetry.tracing else None,
                 seed=config.seed,
             )
@@ -150,9 +166,9 @@ class ServiceContext:
         sqldb.commit_lock.configure(
             hold_s=config.txn.commit_hold_s,
             waits=telemetry.waits,
-            metrics=telemetry.metrics if telemetry.metering else None,
+            metrics=telemetry.metrics,
         )
-        if telemetry.metering and config.telemetry.sample_interval_s > 0:
+        if config.telemetry.sample_interval_s > 0:
             sampler = MetricsSampler(
                 clock,
                 telemetry.metrics,

@@ -17,7 +17,6 @@ from repro.lst.checkpoint import Checkpoint
 from repro.lst.manifest import decode_manifest
 from repro.lst.snapshot import TableSnapshot
 from repro.sqldb import system_tables as catalog
-from repro.storage.retry import with_retries
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.fe.context import ServiceContext
@@ -25,14 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 
 def load_manifest_actions(context: "ServiceContext", path: str) -> List[Action]:
     """Fetch and decode one manifest file from the object store."""
-    blob = with_retries(
-        lambda: context.store.get(path),
-        telemetry=context.telemetry,
-        label="manifest_load",
-        clock=context.clock,
-        config=context.config.storage,
-        seed=context.config.seed,
-    )
+    blob = context.retry("manifest_load", lambda: context.store.get(path))
     return decode_manifest(blob.data)
 
 
@@ -74,13 +66,8 @@ def make_snapshot_cache(context: "ServiceContext") -> SnapshotCache:
         if row is None:
             return None
         try:
-            blob = with_retries(
-                lambda: context.store.get(row["path"]),
-                telemetry=context.telemetry,
-                label="checkpoint_load",
-                clock=context.clock,
-                config=context.config.storage,
-                seed=context.config.seed,
+            blob = context.retry(
+                "checkpoint_load", lambda: context.store.get(row["path"])
             )
         except (BlobNotFoundError, IntegrityError):
             # Checkpoints are an acceleration, not a source of truth: a

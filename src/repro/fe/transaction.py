@@ -22,7 +22,7 @@ Life cycle:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.chaos.crashpoints import crashpoint
 from repro.common.errors import SimulatedCrash, TransactionStateError
@@ -34,7 +34,6 @@ from repro.sqldb import system_tables as catalog
 from repro.sqldb.transaction import IsolationLevel, SqlDbTransaction, TxnState
 from repro.storage import paths
 from repro.storage.block_blob import BlockBlobClient
-from repro.storage.retry import with_retries
 
 _ISOLATION_MAP = {
     "snapshot": IsolationLevel.SNAPSHOT,
@@ -56,7 +55,6 @@ class TableWriteState:
     #: Names of *pre-existing* data files this transaction updated/deleted
     #: (the conflict units for file-granularity detection).
     touched_files: Set[str] = field(default_factory=set)
-    has_update_or_delete: bool = False
     rows_inserted: int = 0
     rows_deleted: int = 0
 
@@ -180,32 +178,43 @@ class PolarisTransaction:
         )
 
     def flush_insert(
-        self, table_id: int, new_block_ids: List[str], new_actions: List[Action]
+        self,
+        table_id: int,
+        new_block_ids: List[str],
+        new_actions: List[Action],
+        rows: int,
     ) -> None:
         """FE flush after an insert statement: append blocks to the manifest.
 
         Inserts have no dependency on previous changes, so the FE simply
         re-commits the old block list plus the new ids (Section 3.2.3).
+        ``rows`` counts toward the commit's ``rows_inserted``.
         """
         state = self.write_state(table_id)
         state.committed_block_ids.extend(new_block_ids)
         crashpoint("fe.write.before_manifest_flush")
-        with_retries(
+        self._context.retry(
+            "manifest_flush",
             lambda: self._context.store.commit_block_list(
                 state.manifest_path, state.committed_block_ids
             ),
-            telemetry=self._context.telemetry,
-            label="manifest_flush",
-            clock=self._context.clock,
-            config=self._context.config.storage,
-            seed=self._context.config.seed,
         )
         crashpoint("fe.write.after_manifest_flush")
         state.actions.extend(new_actions)
+        state.rows_inserted += rows
 
-    def flush_rewrite(self, table_id: int, new_actions: List[Action]) -> List[str]:
+    def flush_rewrite(
+        self,
+        table_id: int,
+        new_actions: List[Action],
+        touched_files: Iterable[str],
+        rows_deleted: int = 0,
+    ) -> List[str]:
         """FE flush after an update/delete: reconcile and rewrite the manifest.
 
+        ``touched_files`` names the pre-existing data files the statement
+        updated or deleted from (the transaction's conflict units);
+        ``rows_deleted`` counts toward the commit's ``rows_deleted``.
         The accumulated actions are reconciled so the manifest never
         references private files superseded within this transaction; the
         result is staged as a fresh compacted block and the manifest is
@@ -213,30 +222,21 @@ class PolarisTransaction:
         private-file paths (left behind for garbage collection).
         """
         state = self.write_state(table_id)
+        state.touched_files.update(touched_files)
+        state.rows_deleted += rows_deleted
         net, orphans = reconcile_actions(state.actions + new_actions)
         state.actions = net
-        writer = BlockBlobClient(
-            self._context.store, state.manifest_path, self._context.guids
-        )
-        block_id = with_retries(
-            lambda: writer.write_block(encode_actions(net)),
-            telemetry=self._context.telemetry,
-            label="manifest_rewrite",
-            clock=self._context.clock,
-            config=self._context.config.storage,
-            seed=self._context.config.seed,
+        writer = self.manifest_writer(table_id)
+        block_id = self._context.retry(
+            "manifest_rewrite", lambda: writer.write_block(encode_actions(net))
         )
         state.committed_block_ids = [block_id]
         crashpoint("fe.rewrite.before_manifest_flush")
-        with_retries(
+        self._context.retry(
+            "manifest_rewrite",
             lambda: self._context.store.commit_block_list(
                 state.manifest_path, [block_id]
             ),
-            telemetry=self._context.telemetry,
-            label="manifest_rewrite",
-            clock=self._context.clock,
-            config=self._context.config.storage,
-            seed=self._context.config.seed,
         )
         return orphans
 
@@ -266,32 +266,22 @@ class PolarisTransaction:
             # validation failure) keeps its span — marked failed, never
             # dropped — so conflict storms are visible in traces.
             self._end_span("error", **{"error.type": type(exc).__name__})
-            if tel.metering:
-                tel.metrics.counter(
-                    "txn.commit_failures", error=type(exc).__name__
-                ).inc()
+            tel.metrics.counter("txn.commit_failures", error=type(exc).__name__).inc()
             self._context.bus.publish(
                 "txn.aborted", txid=self.txid, reason=type(exc).__name__
             )
             raise
         self._end_span("ok", commit_seq=commit_seq)
-        if tel.metering:
-            tel.metrics.counter("txn.commits").inc()
+        tel.metrics.counter("txn.commits").inc()
         return commit_seq
 
     def _validate_and_commit(self) -> Optional[int]:
         """The validation-phase body of :meth:`commit` (Section 4.1.2)."""
         crashpoint("fe.commit.before_validation")
         dirty = [s for s in self._writes.values() if s.actions]
-        granularity = self._context.config.txn.conflict_granularity
-        for state in dirty:
-            if not state.has_update_or_delete:
-                continue
-            if granularity == "file":
-                for file_name in sorted(state.touched_files):
-                    catalog.upsert_writeset(self.root, state.table_id, file_name)
-            else:
-                catalog.upsert_writeset(self.root, state.table_id)
+        claims = self._conflict_units(dirty)
+        for table_id, file_name in claims:
+            catalog.upsert_writeset(self.root, table_id, file_name)
         crashpoint("fe.commit.after_writesets")
 
         if dirty:
@@ -327,33 +317,35 @@ class PolarisTransaction:
             "txn.finished",
             txid=self.txid,
             commit_seq=commit_seq,
-            units=self._conflict_units(dirty, granularity),
+            units=[
+                f"table:{table_id}" if name is None else f"file:{table_id}/{name}"
+                for table_id, name in claims
+            ],
             tables=[state.table_id for state in dirty],
         )
         return commit_seq
 
-    @staticmethod
     def _conflict_units(
-        dirty: List[TableWriteState], granularity: str
-    ) -> List[str]:
-        """The WriteSets conflict units this commit claimed (Section 4.1.2).
+        self, dirty: List[TableWriteState]
+    ) -> List[Tuple[int, Optional[str]]]:
+        """The WriteSets conflict units this commit claims (Section 4.1.2),
+        as ``(table_id, data file name or None for the whole table)``.
 
-        Mirrors the upserts of the validation phase exactly: insert-only
-        write states claim no unit (inserts never conflict), update/delete
-        states claim their table or their touched files depending on the
-        configured granularity.
+        Insert-only write states claim no unit (inserts never conflict);
+        states that touched files claim their table or those files,
+        depending on the configured granularity.
         """
-        units: List[str] = []
+        by_file = self._context.config.txn.conflict_granularity == "file"
+        units: List[Tuple[int, Optional[str]]] = []
         for state in dirty:
-            if not state.has_update_or_delete:
+            if not state.touched_files:
                 continue
-            if granularity == "file":
+            if by_file:
                 units.extend(
-                    f"file:{state.table_id}/{name}"
-                    for name in sorted(state.touched_files)
+                    (state.table_id, name) for name in sorted(state.touched_files)
                 )
             else:
-                units.append(f"table:{state.table_id}")
+                units.append((state.table_id, None))
         return units
 
     def rollback(self) -> None:
@@ -361,8 +353,7 @@ class PolarisTransaction:
         if self.root.state is TxnState.ACTIVE:
             self.root.abort()
             self._end_span("rollback")
-            if self._context.telemetry.metering:
-                self._context.telemetry.metrics.counter("txn.rollbacks").inc()
+            self._context.telemetry.metrics.counter("txn.rollbacks").inc()
             self._context.bus.publish(
                 "txn.aborted", txid=self.txid, reason="rollback"
             )

@@ -1,12 +1,21 @@
 """Distributed execution of write statements (Sections 3.2.2, 4.3).
 
+This module owns every write of table rows.  :func:`write_data_file`
+writes one private data file (stamped with its creator for GC, its
+checksum mirrored in the manifest entry together with file-level zone
+maps folded from the file's row-group stats), and :func:`stage_actions`
+stages one block of the transaction manifest; inserts, bulk loads,
+deletes, updates and STO compaction all write through the two.
+
 Every DML statement compiles to a DCP workflow DAG whose tasks target
 disjoint cells, so manifest entries never need merging across BE nodes:
 
 * **insert** — one task per target distribution; each writes a private
   data file and stages a manifest block with its ``AddDataFile`` action.
 * **bulk load** — one task per *source file* (reading within a source file
-  does not scale out; this is the bottleneck shape of Figure 7).
+  does not scale out; this is the bottleneck shape of Figure 7).  Insert
+  and bulk load share one DAG builder and differ only in how rows are
+  split into parts.
 * **delete** — one task per cell; each computes matched row positions per
   data file, writes merged deletion-vector files, and stages
   ``RemoveDeletionVector``/``AddDeletionVector`` blocks.
@@ -16,7 +25,8 @@ disjoint cells, so manifest entries never need merging across BE nodes:
 
 The FE aggregates the block ids returned by the tasks and flushes the
 transaction manifest: appends for inserts, a reconciling rewrite for
-updates/deletes (Section 3.2.3).
+updates/deletes (Section 3.2.3).  The flush also records the rows and the
+touched files the transaction's commit reports and validates.
 """
 
 from __future__ import annotations
@@ -46,9 +56,8 @@ from repro.lst.actions import (
 )
 from repro.lst.manifest import encode_actions
 from repro.pagefile.deletion_vector import DeletionVector
-from repro.pagefile.file_format import write_page_file
+from repro.pagefile.file_format import PageFile, read_footer, write_page_file
 from repro.pagefile.schema import Schema
-from repro.pagefile.stats import compute_stats
 from repro.storage import paths
 from repro.storage.integrity import CHECKSUM_KEY
 
@@ -56,15 +65,24 @@ from repro.storage.integrity import CHECKSUM_KEY
 # -- shared helpers -------------------------------------------------------------
 
 
-def _file_stamp(txn: PolarisTransaction) -> Dict[str, str]:
-    """Creation metadata the garbage collector keys on (Section 5.3)."""
-    return {
-        "creator_txid": str(txn.txid),
-        "creator_begin_ts": repr(txn.begin_ts),
-    }
+def _put_private_file(
+    context: ServiceContext, txn: PolarisTransaction, path: str, data: bytes
+) -> str:
+    """Store one private file of ``txn``; returns the checksum the
+    manifest mirrors.  The blob is stamped with its creator, which the
+    garbage collector keys on (Section 5.3)."""
+    blob = context.store.put(
+        path,
+        data,
+        metadata={
+            "creator_txid": str(txn.txid),
+            "creator_begin_ts": repr(txn.begin_ts),
+        },
+    )
+    return blob.metadata.get(CHECKSUM_KEY, "")
 
 
-def _write_data_file(
+def write_data_file(
     context: ServiceContext,
     txn: PolarisTransaction,
     table_id: int,
@@ -93,28 +111,43 @@ def _write_data_file(
     data = write_page_file(
         schema, columns, row_group_size=context.config.row_group_size
     )
-    blob = context.store.put(path, data, metadata=_file_stamp(txn))
+    checksum = _put_private_file(context, txn, path, data)
     return DataFileInfo(
         name=name,
         path=path,
         num_rows=num_rows(columns),
         size_bytes=len(data),
         distribution=distribution,
-        column_stats=_file_column_stats(schema, columns),
-        checksum=blob.metadata.get(CHECKSUM_KEY, ""),
+        column_stats=_file_zone_map(read_footer(data)),
+        checksum=checksum,
     )
 
 
-def _file_column_stats(schema: Schema, columns: Batch):
-    """File-level (column, min, max) zone maps for the manifest entry."""
+def _file_zone_map(footer: PageFile) -> Tuple[Tuple[str, Any, Any], ...]:
+    """File-level (column, min, max) zone maps for the manifest entry:
+    the fold of the row-group zone maps the file's footer records."""
     stats = []
-    for fld in schema:
+    for fld in footer.schema:
         if fld.type == "bool":
             continue  # pruning on bools is never worthwhile
-        summary = compute_stats(fld, np.asarray(columns[fld.name]))
-        if summary.minimum is not None:
-            stats.append((fld.name, summary.minimum, summary.maximum))
+        chunks = [
+            group.chunks[fld.name].stats
+            for group in footer.row_groups
+            if group.chunks[fld.name].stats.minimum is not None
+        ]
+        if chunks:
+            lo = min(chunk.minimum for chunk in chunks)
+            hi = max(chunk.maximum for chunk in chunks)
+            stats.append((fld.name, lo, hi))
     return tuple(stats)
+
+
+def stage_actions(
+    txn: PolarisTransaction, table_id: int, actions: Sequence[Action]
+) -> str:
+    """Stage ``actions`` as one block of the table's transaction manifest;
+    returns the block id (committed later by the FE flush)."""
+    return txn.manifest_writer(table_id).write_block(encode_actions(actions))
 
 
 def _write_dv_file(
@@ -128,22 +161,14 @@ def _write_dv_file(
     name = context.guids.next() + ".rdv"
     path = paths.dv_file_path(context.database, table_id, name)
     data = vector.to_bytes()
-    blob = context.store.put(path, data, metadata=_file_stamp(txn))
     return DeletionVectorInfo(
         name=name,
         path=path,
         target_file=target_file,
         cardinality=vector.cardinality,
         size_bytes=len(data),
-        checksum=blob.metadata.get(CHECKSUM_KEY, ""),
+        checksum=_put_private_file(context, txn, path, data),
     )
-
-
-def _resize_write_pool(context: ServiceContext, rows: int, source_files: int) -> None:
-    if context.elastic:
-        context.wlm.resize_pool(
-            "write", context.autoscaler.nodes_for_load(rows, source_files)
-        )
 
 
 def _validate_batch(schema: Schema, batch: Batch) -> int:
@@ -152,7 +177,7 @@ def _validate_batch(schema: Schema, batch: Batch) -> int:
     )
 
 
-# -- insert ----------------------------------------------------------------------
+# -- insert and bulk load ----------------------------------------------------------
 
 
 def execute_insert(
@@ -161,50 +186,23 @@ def execute_insert(
     table_row: Dict[str, Any],
     batch: Batch,
 ) -> int:
-    """Insert a batch; returns the number of rows inserted."""
+    """Insert a batch: one task per target distribution; returns the
+    number of rows inserted."""
     table_id = table_row["table_id"]
     schema = table_schema(table_row)
     total = _validate_batch(schema, batch)
     if total == 0:
         return 0
     assignments = _distribution_assignment(context, table_row, batch, total)
-    sort_column = table_row.get("sort_column")
-    dag = WorkflowDag()
-    state = txn.write_state(table_id)
-
+    # The manifest is named before any data file (the order GUIDs are
+    # drawn in); a bulk load names it from its first task instead.
+    txn.write_state(table_id)
+    parts = []
     for distribution in sorted(set(assignments.tolist())):
         rows = np.flatnonzero(assignments == distribution)
         part = {name: values[rows] for name, values in batch.items()}
-
-        def write_part(
-            ctx: TaskContext, part: Batch = part, distribution: int = distribution
-        ) -> Tuple[List[str], List[Action], int]:
-            info = _write_data_file(
-                context, txn, table_id, schema, part, distribution,
-                sort_column=sort_column,
-            )
-            actions: List[Action] = [AddDataFile(info)]
-            writer = txn.manifest_writer(table_id)
-            block_id = writer.write_block(encode_actions(actions))
-            return [block_id], actions, info.num_rows
-
-        dag.add_task(
-            Task(
-                task_id=f"insert:{table_id}:{distribution}",
-                fn=write_part,
-                est_rows=len(rows),
-                est_files=1,
-                est_bytes=estimate_batch_bytes(part),
-                pool="write",
-            )
-        )
-
-    _resize_write_pool(context, total, len(dag))
-    result = context.scheduler.execute(dag, wlm=context.wlm)
-    block_ids, actions = _collect_write_results(result.results)
-    txn.flush_insert(table_id, block_ids, actions)
-    state.rows_inserted += total
-    return total
+        parts.append((f"insert:{table_id}:{distribution}", distribution, part))
+    return _write_parts(context, txn, table_row, schema, parts, total)
 
 
 def execute_bulk_load(
@@ -227,44 +225,69 @@ def execute_bulk_load(
     total = sum(totals)
     if total == 0:
         return 0
-    dag = WorkflowDag()
     distributions = context.config.distributions
+    parts = [
+        (f"load:{table_id}:{index:05d}", index % distributions, batch)
+        for index, batch in enumerate(source_batches)
+        if totals[index]
+    ]
+    return _write_parts(
+        context, txn, table_row, schema, parts, total, advance_clock
+    )
+
+
+def _write_parts(
+    context: ServiceContext,
+    txn: PolarisTransaction,
+    table_row: Dict[str, Any],
+    schema: Schema,
+    parts: List[Tuple[str, int, Batch]],
+    total: int,
+    advance_clock: bool = True,
+) -> int:
+    """The insert DAG: one write task per ``(task_id, distribution, rows)``
+    part, each writing one data file and staging its ``AddDataFile``
+    block; the FE then appends the blocks to the manifest.  Returns
+    ``total``."""
+    table_id = table_row["table_id"]
     sort_column = table_row.get("sort_column")
+    dag = WorkflowDag()
+    for task_id, distribution, part in parts:
 
-    for index, batch in enumerate(source_batches):
-        if totals[index] == 0:
-            continue
-
-        def load_source(
-            ctx: TaskContext, batch: Batch = batch, index: int = index
-        ) -> Tuple[List[str], List[Action], int]:
-            info = _write_data_file(
-                context, txn, table_id, schema, batch, index % distributions,
+        def write_part(
+            ctx: TaskContext, part: Batch = part, distribution: int = distribution
+        ) -> Tuple[str, Action]:
+            info = write_data_file(
+                context, txn, table_id, schema, part, distribution,
                 sort_column=sort_column,
             )
-            actions: List[Action] = [AddDataFile(info)]
-            writer = txn.manifest_writer(table_id)
-            block_id = writer.write_block(encode_actions(actions))
-            return [block_id], actions, info.num_rows
+            action = AddDataFile(info)
+            return stage_actions(txn, table_id, [action]), action
 
         dag.add_task(
             Task(
-                task_id=f"load:{table_id}:{index:05d}",
-                fn=load_source,
-                est_rows=totals[index],
+                task_id=task_id,
+                fn=write_part,
+                est_rows=num_rows(part),
                 est_files=1,
-                est_bytes=estimate_batch_bytes(batch),
+                est_bytes=estimate_batch_bytes(part),
                 pool="write",
             )
         )
-
-    _resize_write_pool(context, total, len(dag))
+    if context.elastic:
+        context.wlm.resize_pool(
+            "write", context.autoscaler.nodes_for_load(total, len(dag))
+        )
     result = context.scheduler.execute(
         dag, wlm=context.wlm, advance_clock=advance_clock
     )
-    block_ids, actions = _collect_write_results(result.results)
-    txn.flush_insert(table_id, block_ids, actions)
-    txn.write_state(table_id).rows_inserted += total
+    staged = [result.results[task_id] for task_id in sorted(result.results)]
+    txn.flush_insert(
+        table_id,
+        [block_id for block_id, __ in staged],
+        [action for __, action in staged],
+        rows=total,
+    )
     return total
 
 
@@ -314,7 +337,7 @@ def _execute_mutation(
     snapshot = txn.table_snapshot(table_id)
     prune_list = list(prune)
 
-    def mutate_cell(cell: Cell) -> Tuple[List[str], List[Action], int, List[str]]:
+    def mutate_cell(cell: Cell) -> Tuple[List[Action], int, List[str]]:
         actions: List[Action] = []
         touched: List[str] = []
         matched_rows: List[Batch] = []
@@ -356,32 +379,26 @@ def _execute_mutation(
                 matched_rows.append(kept)
         if assignments is not None and matched_rows:
             updated = _apply_assignments(matched_rows, assignments, schema)
-            info = _write_data_file(
+            info = write_data_file(
                 context, txn, table_id, schema, updated, cell.distribution,
                 sort_column=table_row.get("sort_column"),
             )
             actions.append(AddDataFile(info))
-        if not actions:
-            return [], [], 0, []
-        writer = txn.manifest_writer(table_id)
-        block_id = writer.write_block(encode_actions(actions))
-        return [block_id], actions, n_matched, touched
+        if actions:
+            stage_actions(txn, table_id, actions)
+        return actions, n_matched, touched
 
     results = run_per_cell(context, table_id, snapshot, "mutate", "write", mutate_cell)
     new_actions: List[Action] = []
     touched_all: List[str] = []
     total_matched = 0
-    for __, actions, matched, touched in results:
+    for actions, matched, touched in results:
         new_actions.extend(actions)
         touched_all.extend(touched)
         total_matched += matched
     if not new_actions:
         return 0, 0
-    state = txn.write_state(table_id)
-    state.has_update_or_delete = True
-    state.touched_files.update(touched_all)
-    state.rows_deleted += total_matched
-    txn.flush_rewrite(table_id, new_actions)
+    txn.flush_rewrite(table_id, new_actions, touched_all, rows_deleted=total_matched)
     return total_matched, (total_matched if assignments is not None else 0)
 
 
@@ -405,13 +422,3 @@ def _distribution_assignment(
     if column is not None:
         return distribution_of(np.asarray(batch[column]), context.config.distributions)
     return np.arange(total, dtype=np.int64) % context.config.distributions
-
-
-def _collect_write_results(results: Dict[str, Any]) -> Tuple[List[str], List[Action]]:
-    block_ids: List[str] = []
-    actions: List[Action] = []
-    for task_id in sorted(results):
-        ids, acts, __ = results[task_id]
-        block_ids.extend(ids)
-        actions.extend(acts)
-    return block_ids, actions

@@ -101,11 +101,8 @@ class QueryOptimizer:
 
         persist_table_stats(txn, table_id, stats)
         tel = self._context.telemetry
-        if tel.metering:
-            tel.metrics.counter("optimizer.analyze.runs", source=source).inc()
-            tel.metrics.counter("optimizer.analyze.rows_scanned").inc(
-                stats.row_count
-            )
+        tel.metrics.counter("optimizer.analyze.runs", source=source).inc()
+        tel.metrics.counter("optimizer.analyze.rows_scanned").inc(stats.row_count)
         return stats
 
     def _feedback_factor(self, table_name: str) -> float:
@@ -191,9 +188,8 @@ class QueryOptimizer:
             (table_id, index_name), {"lookups": 0, "files_pruned": 0}
         )
         tel = self._context.telemetry
-        if tel.metering:
-            tel.metrics.counter("optimizer.index.builds").inc()
-            tel.metrics.counter("optimizer.index.entries").inc(entries)
+        tel.metrics.counter("optimizer.index.builds").inc()
+        tel.metrics.counter("optimizer.index.entries").inc(entries)
         return payload
 
     def refresh_indexes(self, txn: "PolarisTransaction", table_id: int) -> int:
@@ -261,7 +257,7 @@ class QueryOptimizer:
             plan, stats, indexed, self._config, self._context.cost_model
         )
         tel = self._context.telemetry
-        if tel.metering and info.applied:
+        if info.applied:
             tel.metrics.counter("optimizer.plan.rewrites").inc()
             if info.reordered:
                 tel.metrics.counter("optimizer.plan.reorders").inc()
@@ -332,11 +328,8 @@ class QueryOptimizer:
                 usage["lookups"] += 1
                 usage["files_pruned"] += len(pruned)
                 drop |= pruned
-                if tel.metering:
-                    tel.metrics.counter("optimizer.index.lookups").inc()
-                    tel.metrics.counter("optimizer.index.files_pruned").inc(
-                        len(pruned)
-                    )
+                tel.metrics.counter("optimizer.index.lookups").inc()
+                tel.metrics.counter("optimizer.index.files_pruned").inc(len(pruned))
         return snapshot.restricted_to(set(snapshot.files) - drop)
 
     def _load_index(self, row: Dict[str, Any]) -> SortedRunIndex:

@@ -39,8 +39,9 @@ class ColumnStats:
         """
         if self.minimum is None or self.maximum is None:
             return True
-        # NaN (the engine's null) poisons a float column's min/max and
-        # compares false with everything, so it proves nothing either way.
+        # compute_stats leaves NaN (the engine's null) out of the range,
+        # but a NaN bound (from an older file) compares false with
+        # everything, so it proves nothing either way.
         if self.minimum != self.minimum or self.maximum != self.maximum:
             return True
         if literal != literal:
@@ -59,15 +60,23 @@ class ColumnStats:
 
 
 def compute_stats(field: Field, values: np.ndarray) -> ColumnStats:
-    """Compute min/max for a column chunk (None for empty chunks)."""
+    """Compute min/max for a column chunk (None for empty chunks).
+
+    NaN (the engine's null) is left out of a float column's range, so a
+    null does not cost the chunk its zone map; an all-NaN chunk has none.
+    """
     if len(values) == 0:
         return ColumnStats(minimum=None, maximum=None)
     if field.type == "string":
-        ordered = sorted(str(v) for v in values)
-        return ColumnStats(minimum=ordered[0], maximum=ordered[-1])
+        strings = [str(v) for v in values]
+        return ColumnStats(minimum=min(strings), maximum=max(strings))
     minimum = values.min()
     maximum = values.max()
     if field.type == "float64":
+        if minimum != minimum:  # min() propagates NaN: range of the rest
+            if np.isnan(values).all():
+                return ColumnStats(minimum=None, maximum=None)
+            minimum, maximum = np.nanmin(values), np.nanmax(values)
         return ColumnStats(minimum=float(minimum), maximum=float(maximum))
     if field.type == "bool":
         return ColumnStats(minimum=bool(minimum), maximum=bool(maximum))

@@ -192,11 +192,9 @@ class Gateway:
         if workload_class not in WORKLOAD_CLASSES:
             raise PolarisError(f"unknown workload class {workload_class!r}")
         metrics = self._telemetry.metrics
-        metering = self._telemetry.metering
-        if metering:
-            metrics.counter(
-                "service.requests", tenant=tenant, workload_class=workload_class
-            ).inc()
+        metrics.counter(
+            "service.requests", tenant=tenant, workload_class=workload_class
+        ).inc()
         request = Request(
             self._next_request_id,
             tenant,
@@ -214,9 +212,8 @@ class Gateway:
             request.exception = RequestSheddedError(reason, retry_after_s)
             self._record(request)
             self._finish(request, "shed")
-            if metering:
-                metrics.counter("service.shed", reason=reason).inc()
-                metrics.histogram("service.retry_after_s").observe(retry_after_s)
+            metrics.counter("service.shed", reason=reason).inc()
+            metrics.histogram("service.retry_after_s").observe(retry_after_s)
             waits = self._telemetry.waits
             if waits is not None:
                 # The retry-after hint is the stall a well-behaved client
@@ -229,11 +226,8 @@ class Gateway:
                 )
             raise request.exception
         self._record(request)
-        if metering:
-            metrics.counter(
-                "service.admitted", workload_class=workload_class
-            ).inc()
-            metrics.gauge("service.queue_depth").set(self.admission.queue_depth())
+        metrics.counter("service.admitted", workload_class=workload_class).inc()
+        metrics.gauge("service.queue_depth").set(self.admission.queue_depth())
         crashpoint("service.admit.after_enqueue")
         return request
 
@@ -261,11 +255,10 @@ class Gateway:
             waits = self._telemetry.waits
             for timed_out in expired:
                 self._finish(timed_out, "timed_out")
-                if self._telemetry.metering:
-                    self._telemetry.metrics.counter(
-                        "service.timeouts",
-                        workload_class=timed_out.workload_class,
-                    ).inc()
+                self._telemetry.metrics.counter(
+                    "service.timeouts",
+                    workload_class=timed_out.workload_class,
+                ).inc()
                 if waits is not None:
                     # The expired request's whole queue wait bought
                     # nothing; attribute it explicitly (the dispatcher is
@@ -276,10 +269,9 @@ class Gateway:
                         tenant=timed_out.tenant,
                         workload_class=timed_out.workload_class,
                     )
-            if self._telemetry.metering:
-                self._telemetry.metrics.gauge("service.queue_depth").set(
-                    self.admission.queue_depth()
-                )
+            self._telemetry.metrics.gauge("service.queue_depth").set(
+                self.admission.queue_depth()
+            )
             if request is None:
                 if self.scheduler.pending == 0:
                     return None
@@ -292,7 +284,6 @@ class Gateway:
         """Run one admitted request on a pooled session and account it."""
         crashpoint("service.dispatch.before_execute")
         metrics = self._telemetry.metrics
-        metering = self._telemetry.metering
         querystore = self._telemetry.querystore
         waits = self._telemetry.waits
         attributed = False
@@ -305,10 +296,7 @@ class Gateway:
             request.error = type(error).__name__
             request.exception = error
             self._finish(request, "failed")
-            if metering:
-                metrics.counter(
-                    "service.failures", error=type(error).__name__
-                ).inc()
+            metrics.counter("service.failures", error=type(error).__name__).inc()
             if waits is not None:
                 # Acquisition never blocks — it fails fast on quota — so
                 # this wait kind is count-only starvation evidence.
@@ -322,10 +310,7 @@ class Gateway:
         # The session is held from here on: everything, including the
         # pre-execution accounting, runs under the releasing ``finally``.
         try:
-            if metering:
-                metrics.gauge("service.sessions_open").set(
-                    self.pool.open_count
-                )
+            metrics.gauge("service.sessions_open").set(self.pool.open_count)
             request.status = "running"
             request.session_id = gateway_session.session_id
             request.started_at = self._context.clock.now
@@ -365,25 +350,21 @@ class Gateway:
                 request.error = type(error).__name__
                 request.exception = error
                 self._finish(request, "failed")
-                if metering:
-                    metrics.counter(
-                        "service.failures", error=type(error).__name__
-                    ).inc()
+                metrics.counter("service.failures", error=type(error).__name__).inc()
             else:
                 self._finish(request, "completed")
-                if metering:
-                    metrics.counter(
-                        "service.completions",
-                        workload_class=request.workload_class,
-                    ).inc()
-                    metrics.histogram(
-                        "service.queue_wait_s",
-                        workload_class=request.workload_class,
-                    ).observe(request.queue_wait_s)
-                    metrics.histogram(
-                        "service.request_latency_s",
-                        workload_class=request.workload_class,
-                    ).observe(request.finished_at - request.submitted_at)
+                metrics.counter(
+                    "service.completions",
+                    workload_class=request.workload_class,
+                ).inc()
+                metrics.histogram(
+                    "service.queue_wait_s",
+                    workload_class=request.workload_class,
+                ).observe(request.queue_wait_s)
+                metrics.histogram(
+                    "service.request_latency_s",
+                    workload_class=request.workload_class,
+                ).observe(request.finished_at - request.submitted_at)
         finally:
             try:
                 if attributed:
@@ -393,10 +374,7 @@ class Gateway:
             finally:
                 # The release must survive a pop_attribution failure.
                 self.pool.release(gateway_session)
-                if metering:
-                    metrics.gauge("service.sessions_open").set(
-                        self.pool.open_count
-                    )
+                metrics.gauge("service.sessions_open").set(self.pool.open_count)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -430,7 +408,7 @@ class Gateway:
     def reap_sessions(self) -> int:
         """Close idle-expired sessions; returns how many were reaped."""
         reaped = self.pool.reap_idle()
-        if reaped and self._telemetry.metering:
+        if reaped:
             metrics = self._telemetry.metrics
             metrics.counter("service.sessions_reaped").inc(reaped)
             metrics.gauge("service.sessions_open").set(self.pool.open_count)
@@ -457,10 +435,9 @@ class Gateway:
                 scavenged += 1
         self.pool.close_all()
         self._dispatcher = None
-        if self._telemetry.metering:
-            metrics = self._telemetry.metrics
-            metrics.gauge("service.queue_depth").set(0)
-            metrics.gauge("service.sessions_open").set(0)
+        metrics = self._telemetry.metrics
+        metrics.gauge("service.queue_depth").set(0)
+        metrics.gauge("service.sessions_open").set(0)
         return scavenged
 
     # -- introspection -----------------------------------------------------

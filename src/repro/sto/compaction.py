@@ -14,21 +14,19 @@ deletes on the same files and abort.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List, Tuple
 
 from repro.chaos.crashpoints import crashpoint
 from repro.common.errors import SimulatedCrash, TransactionAbortedError
-from repro.dcp.dag import WorkflowDag
-from repro.dcp.tasks import Task, TaskContext
+from repro.dcp.cells import Cell
 from repro.engine.batch import Batch, concat_batches, num_rows
 from repro.engine.statistics import file_health
 from repro.fe.catalog import table_schema
 from repro.fe.context import ServiceContext
 from repro.fe.transaction import PolarisTransaction
-from repro.fe.read_path import read_file
-from repro.fe.write_path import _write_data_file
+from repro.fe.read_path import read_file, run_per_cell
+from repro.fe.write_path import stage_actions, write_data_file
 from repro.lst.actions import Action, AddDataFile, RemoveDataFile
-from repro.lst.manifest import encode_actions
 from repro.sqldb import system_tables as catalog
 
 
@@ -91,73 +89,48 @@ def _compact_in_txn(
     if not victims:
         return CompactionResult(table_id, True, 0, 0, 0)
 
-    # Group victims by distribution so rewrites stay cell-local.
-    by_distribution: Dict[int, List[str]] = {}
-    for name in victims:
-        info = snapshot.files[name]
-        by_distribution.setdefault(info.distribution, []).append(name)
-
-    dag = WorkflowDag()
+    # One write task per cell holding victims, so rewrites stay cell-local.
     target_rows = context.config.rows_per_cell
-    for distribution, names in sorted(by_distribution.items()):
-        infos = [snapshot.files[name] for name in sorted(names)]
 
-        def compact_cell(
-            ctx: TaskContext, infos=infos, distribution=distribution
-        ) -> tuple:
-            actions: List[Action] = []
-            parts: List[Batch] = []
-            for info in infos:
-                live = read_file(context, snapshot, info)
-                if num_rows(live):
-                    parts.append(live)
-                actions.append(RemoveDataFile(info))
-            rows_total = 0
-            created = 0
-            if parts:
-                merged = concat_batches(parts)
-                total = num_rows(merged)
-                for start in range(0, total, target_rows):
-                    chunk = {
-                        name: values[start : start + target_rows]
-                        for name, values in merged.items()
-                    }
-                    new_info = _write_data_file(
-                        context, txn, table_id, schema, chunk, distribution,
-                        sort_column=table_row.get("sort_column"),
-                    )
-                    actions.append(AddDataFile(new_info))
-                    created += 1
-                rows_total = total
-            writer = txn.manifest_writer(table_id)
-            block_id = writer.write_block(encode_actions(actions))
-            return [block_id], actions, rows_total, created
+    def compact_cell(cell: Cell) -> Tuple[List[Action], int, int]:
+        actions: List[Action] = []
+        parts: List[Batch] = []
+        for info in cell.files:
+            live = read_file(context, snapshot, info)
+            if num_rows(live):
+                parts.append(live)
+            actions.append(RemoveDataFile(info))
+        rows_total = 0
+        created = 0
+        if parts:
+            merged = concat_batches(parts)
+            rows_total = num_rows(merged)
+            for start in range(0, rows_total, target_rows):
+                chunk = {
+                    name: values[start : start + target_rows]
+                    for name, values in merged.items()
+                }
+                new_info = write_data_file(
+                    context, txn, table_id, schema, chunk, cell.distribution,
+                    sort_column=table_row.get("sort_column"),
+                )
+                actions.append(AddDataFile(new_info))
+                created += 1
+        stage_actions(txn, table_id, actions)
+        return actions, rows_total, created
 
-        dag.add_task(
-            Task(
-                task_id=f"compact:{table_id}:{distribution:04d}",
-                fn=compact_cell,
-                est_rows=sum(i.num_rows for i in infos),
-                est_files=len(infos),
-                est_bytes=sum(i.size_bytes for i in infos),
-                pool="write",
-            )
-        )
-
-    result = context.scheduler.execute(dag, wlm=context.wlm)
+    results = run_per_cell(
+        context, table_id, snapshot.restricted_to(victims), "compact", "write",
+        compact_cell,
+    )
     new_actions: List[Action] = []
     rows_compacted = 0
     files_created = 0
-    for task_id in sorted(result.results):
-        __, actions, rows_total, created = result.results[task_id]
+    for actions, rows_total, created in results:
         new_actions.extend(actions)
         rows_compacted += rows_total
         files_created += created
-
-    state = txn.write_state(table_id)
-    state.has_update_or_delete = True
-    state.touched_files.update(victims)
-    txn.flush_rewrite(table_id, new_actions)
+    txn.flush_rewrite(table_id, new_actions, victims)
     crashpoint("sto.compaction.before_commit")
     sequence_id = txn.commit()
     crashpoint("sto.compaction.after_commit")

@@ -47,7 +47,6 @@ from repro.sqldb import system_tables as catalog
 from repro.sto.health import StorageHealthMonitor
 from repro.sto.publisher import _to_delta
 from repro.storage import paths
-from repro.storage.retry import with_retries
 
 #: Blob kinds whose loss is user-data loss (degrades the table to RED).
 _UNREPAIRABLE_IS_DATA_LOSS = ("data", "dv", "manifest")
@@ -209,18 +208,6 @@ def _quarantine(context: ServiceContext, path: str, problem: str) -> str:
     return context.store.quarantine(path)
 
 
-def _retrying(context: ServiceContext, label: str, fn):
-    """Run one store operation under the standard retry policy."""
-    return with_retries(
-        fn,
-        telemetry=context.telemetry,
-        label=label,
-        clock=context.clock,
-        config=context.config.storage,
-        seed=context.config.seed,
-    )
-
-
 # -- manifests ----------------------------------------------------------------
 
 
@@ -289,8 +276,8 @@ def _repair_manifest(
     if cover is None:
         return False
     try:
-        blob = _retrying(
-            context, "scrub_repair", lambda: context.store.get(cover["path"])
+        blob = context.retry(
+            "scrub_repair", lambda: context.store.get(cover["path"])
         )
         child = Checkpoint.from_bytes(blob.data).snapshot
         parent_seq = max(
@@ -300,8 +287,7 @@ def _repair_manifest(
         context.cache.invalidate(table_id)
         parent = context.cache.get(table_id, parent_seq)
         data = encode_actions(_diff_actions(parent, child))
-        _retrying(
-            context,
+        context.retry(
             "scrub_repair",
             lambda: context.store.put(row["manifest_path"], data, overwrite=True),
         )
@@ -384,8 +370,7 @@ def _repair_checkpoint(
         context.cache.invalidate(table_id)
         snapshot = context.cache.get(table_id, row["sequence_id"])
         data = Checkpoint.of(snapshot, context.clock.now).to_bytes()
-        _retrying(
-            context,
+        context.retry(
             "scrub_repair",
             lambda: context.store.put(row["path"], data, overwrite=True),
         )
@@ -459,8 +444,8 @@ def _scrub_delta_log(
     """Verify published Delta commit files; re-derive from manifests."""
     prefix = paths.published_root(context.database, name) + "/_delta_log/"
     try:
-        blobs = _retrying(
-            context, "scrub_list", lambda: list(context.store.list(prefix))
+        blobs = context.retry(
+            "scrub_list", lambda: list(context.store.list(prefix))
         )
     except PolarisError:
         return
@@ -520,10 +505,8 @@ def _republish_version(
         for action in actions:
             lines.append(json.dumps(_to_delta(action), separators=(",", ":")))
         data = ("\n".join(lines) + "\n").encode("utf-8")
-        _retrying(
-            context,
-            "scrub_repair",
-            lambda: context.store.put(path, data, overwrite=True),
+        context.retry(
+            "scrub_repair", lambda: context.store.put(path, data, overwrite=True)
         )
     except PolarisError:
         return False

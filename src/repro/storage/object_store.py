@@ -87,14 +87,8 @@ class ObjectStore:
         self.meter = IoMeter()
         self.faults = FaultInjector(self.config)
         self.telemetry = telemetry
-        # Gate flags are fixed at construction, so cache one bool for the
-        # per-request fast path and only install the latency hook when it
-        # would record something — disabled telemetry costs ~nothing.
-        self._tel_active = telemetry is not None and (
-            telemetry.metering or telemetry.tracing
-        )
         self._latency = LatencyModel(self.clock, self.config)
-        if telemetry is not None and telemetry.metering:
+        if telemetry is not None:
             self._latency.on_charge = telemetry.latency_charged
         self._blobs: Dict[str, Blob] = {}
         self._blocks: Dict[str, _BlockState] = {}
@@ -132,7 +126,7 @@ class ObjectStore:
         self.meter.record(
             operation, read_bytes=read_bytes, written_bytes=written_bytes
         )
-        if self._tel_active:
+        if self.telemetry is not None:
             self.telemetry.storage_request(
                 operation, path, read_bytes, written_bytes, cost
             )

@@ -3,9 +3,10 @@
 One :class:`Telemetry` object per :class:`~repro.fe.context.ServiceContext`
 bundles the span tracer, the metrics registry, and the domain hooks the
 instrumented layers call (storage requests, latency charges, retries, bus
-events).  Every entry point fast-paths to a no-op when the corresponding
-``TelemetryConfig`` switch is off, so a deployment that never enables
-telemetry pays only attribute checks.
+events).  The metrics registry always records (cheap dict increments);
+every span entry point fast-paths to a no-op unless
+``TelemetryConfig.enabled``, so a deployment that never enables tracing
+pays only attribute checks for it.
 """
 
 from __future__ import annotations
@@ -68,8 +69,6 @@ class Telemetry:
         self.clock = clock
         #: Span tracing on/off (the expensive half).
         self.tracing = self.config.enabled
-        #: Metrics registry recording on/off (cheap dict increments).
-        self.metering = self.config.metrics or self.config.enabled
         self.metrics = MetricsRegistry(self.config.histogram_max_samples, seed=seed)
         self.tracer = Tracer(clock, max_spans=self.config.max_spans)
         self._bus: Optional[EventBus] = None
@@ -166,16 +165,13 @@ class Telemetry:
         cost: float,
     ) -> None:
         """Account one object-store request (called by ``ObjectStore``)."""
-        if self.metering:
-            metrics = self.metrics
-            metrics.counter("storage.requests", op=operation).inc()
-            if read_bytes:
-                metrics.counter("storage.bytes_read").inc(read_bytes)
-            if written_bytes:
-                metrics.counter("storage.bytes_written").inc(written_bytes)
-            metrics.histogram("storage.request_latency_s", op=operation).observe(
-                cost
-            )
+        metrics = self.metrics
+        metrics.counter("storage.requests", op=operation).inc()
+        if read_bytes:
+            metrics.counter("storage.bytes_read").inc(read_bytes)
+        if written_bytes:
+            metrics.counter("storage.bytes_written").inc(written_bytes)
+        metrics.histogram("storage.request_latency_s", op=operation).observe(cost)
         if self.tracing:
             start, end = self.tracer.child_window(cost)
             span = self.tracer.start_span(
@@ -193,17 +189,15 @@ class Telemetry:
 
     def storage_fault(self, operation: str, path: str) -> None:
         """Account one injected transient storage fault."""
-        if self.metering:
-            self.metrics.counter("storage.faults_injected", op=operation).inc()
+        self.metrics.counter("storage.faults_injected", op=operation).inc()
         if self.tracing:
             self.tracer.add_event("storage.fault", op=operation, path=path)
 
     def integrity_corruption(self, kind: str, operation: str, path: str) -> None:
         """Account one injected corruption fault (wrong bytes, no error)."""
-        if self.metering:
-            self.metrics.counter(
-                "storage.integrity_corruptions_injected", kind=kind, op=operation
-            ).inc()
+        self.metrics.counter(
+            "storage.integrity_corruptions_injected", kind=kind, op=operation
+        ).inc()
         if self.tracing:
             self.tracer.add_event(
                 "storage.corruption", kind=kind, op=operation, path=path
@@ -211,8 +205,7 @@ class Telemetry:
 
     def integrity_violation(self, path: str, detail: str) -> None:
         """Account one detected checksum mismatch (a corrupt read caught)."""
-        if self.metering:
-            self.metrics.counter("storage.integrity_errors").inc()
+        self.metrics.counter("storage.integrity_errors").inc()
         if self.tracing:
             self.tracer.add_event(
                 "storage.integrity_violation", path=path, detail=detail
@@ -226,11 +219,10 @@ class Telemetry:
         the two are reported separately so IO latency is never counted
         twice.
         """
-        if self.metering:
-            mode = "clock" if charged else "node_timeline"
-            self.metrics.counter(
-                "storage.sim_latency_s", op=operation or "unknown", mode=mode
-            ).inc(cost)
+        mode = "clock" if charged else "node_timeline"
+        self.metrics.counter(
+            "storage.sim_latency_s", op=operation or "unknown", mode=mode
+        ).inc(cost)
 
     # -- retry hooks ----------------------------------------------------------
 
@@ -246,12 +238,11 @@ class Telemetry:
         ``backoff_s`` is the simulated backoff charged before the next
         attempt (0 for the final failure, which has no next attempt).
         """
-        if self.metering:
-            self.metrics.counter("storage.retry_attempts", label=label).inc()
-            if backoff_s > 0:
-                self.metrics.histogram(
-                    "storage.retry_backoff_s", label=label
-                ).observe(backoff_s)
+        self.metrics.counter("storage.retry_attempts", label=label).inc()
+        if backoff_s > 0:
+            self.metrics.histogram(
+                "storage.retry_backoff_s", label=label
+            ).observe(backoff_s)
         if self.tracing:
             self.tracer.add_event(
                 "retry",
@@ -263,11 +254,10 @@ class Telemetry:
 
     def retry_outcome(self, label: str, attempts: int, succeeded: bool) -> None:
         """Account the final outcome of a retried operation."""
-        if self.metering:
-            outcome = "ok" if succeeded else "exhausted"
-            self.metrics.counter(
-                "storage.retry_outcomes", label=label, outcome=outcome
-            ).inc()
+        outcome = "ok" if succeeded else "exhausted"
+        self.metrics.counter(
+            "storage.retry_outcomes", label=label, outcome=outcome
+        ).inc()
         if self.tracing and not succeeded:
             self.tracer.add_event("retry.exhausted", label=label, attempts=attempts)
 
@@ -276,8 +266,6 @@ class Telemetry:
     def attach_bus(self, bus: EventBus) -> None:
         """Subscribe to every bus topic (wildcard) to mirror events."""
         if self._bus is not None:
-            return
-        if not (self.metering or self.tracing):
             return
         bus.subscribe(WILDCARD, self._on_bus_event)
         self._bus = bus
@@ -289,8 +277,7 @@ class Telemetry:
             self._bus = None
 
     def _on_bus_event(self, event: Event) -> None:
-        if self.metering:
-            self.metrics.counter("bus.events", topic=event.topic).inc()
+        self.metrics.counter("bus.events", topic=event.topic).inc()
         if self.tracing:
             scalars = {
                 key: value

@@ -40,6 +40,13 @@ class TestConfig:
         config.txn.conflict_granularity = "file"
         config.validate()
 
+    def test_unknown_field_rejected(self):
+        # A misspelt knob must fail loudly, not be silently ignored.
+        with pytest.raises(AttributeError):
+            PolarisConfig().telemetry.bogus = 1
+        with pytest.raises(AttributeError):
+            PolarisConfig().bogus = 1
+
 
 class TestEventBus:
     def test_publish_reaches_subscriber(self):

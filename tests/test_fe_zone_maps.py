@@ -74,6 +74,39 @@ class TestFileStats:
         ))
         assert out["id"].tolist() == [2]
 
+    def test_nan_left_out_of_zone_map(self):
+        config = small_config()
+        config.distributions = 1
+        session = Warehouse(config=config, auto_optimize=False).session()
+        session.create_table("t", Schema.of(("id", "int64"), ("v", "float64")))
+        session.insert("t", {"id": np.array([1, 2], dtype=np.int64),
+                             "v": np.array([np.nan, 5.0])})
+        (info,) = session.table_snapshot("t").files.values()
+        assert ("v", 5.0, 5.0) in info.column_stats
+
+        def scan(literal):
+            return session.explain_analyze(TableScan(
+                "t", ("id", "v"), predicate=BinOp(">", Col("v"), Lit(literal)),
+                prune=(("v", ">", literal),),
+            ))
+
+        pruned = scan(6.0)
+        (report,) = pruned.scan_details.values()
+        assert report["files_pruned"] == 1
+        assert pruned.batch["id"].tolist() == []
+        kept = scan(1.0)
+        (report,) = kept.scan_details.values()
+        assert report["files_pruned"] == 0
+        assert kept.batch["id"].tolist() == [2]
+
+    def test_all_nan_chunk_has_no_zone_map(self):
+        from repro.pagefile.schema import Field
+        from repro.pagefile.stats import compute_stats
+
+        stats = compute_stats(Field("v", "float64"), np.array([np.nan, np.nan]))
+        assert stats.minimum is None and stats.maximum is None
+        assert stats.may_contain(">", 1.0)
+
     def test_backwards_compatible_parse(self):
         raw = {"name": "f", "path": "p/f", "num_rows": 1, "size_bytes": 8,
                "distribution": 0}

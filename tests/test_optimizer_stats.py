@@ -208,7 +208,6 @@ class TestAnalyzeStatement:
         assert float(dmv["feedback_factor"][0]) == pytest.approx(1.0)
 
     def test_analyze_metrics_registered(self, config):
-        config.telemetry.metering_enabled = True
         dw = Warehouse(config=config, auto_optimize=False)
         session = dw.session()
         session.sql("CREATE TABLE t (id bigint, v double)")

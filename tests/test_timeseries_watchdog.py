@@ -251,7 +251,6 @@ class TestWatchdogUnit:
 class TestWatchdogEndToEnd:
     @pytest.fixture
     def watched_dw(self, config):
-        config.telemetry.metrics = True
         config.telemetry.sample_interval_s = 1.0
         config.telemetry.watchdog_enabled = True
         return Warehouse(config=config, auto_optimize=False)

@@ -213,9 +213,7 @@ class TestEndToEnd:
         assert insert_hash in list(stats["query_hash"])
 
     def test_waits_metrics_mirrored(self):
-        config = waits_config(
-            metrics=True, txn__commit_hold_s=0.5
-        )
+        config = waits_config(txn__commit_hold_s=0.5)
         dw = Warehouse(config=config, auto_optimize=False)
         sql = SqlSession(dw.session())
         sql.execute("CREATE TABLE t (id BIGINT, v DOUBLE)")
@@ -235,7 +233,7 @@ class TestEndToEnd:
 
 class TestCrashHygiene:
     def test_crash_leaves_scope_open_and_recovery_scavenges(self):
-        dw = Warehouse(config=waits_config(metrics=True), auto_optimize=False)
+        dw = Warehouse(config=waits_config(), auto_optimize=False)
         waits = dw.telemetry.waits
         clock = dw.context.clock
         with pytest.raises(SimulatedCrash):
